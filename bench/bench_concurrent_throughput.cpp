@@ -54,16 +54,17 @@ constexpr int kQueriesPerRun = 240;
 constexpr int kFetchLatencyMs = 4;
 
 void BuildGraph(SSDM* db) {
-  Graph& g = db->dataset().default_graph();
+  WriteBatch b;
   const std::string ns = "http://example.org/";
   Term knows = Term::Iri(ns + "knows");
   Term age = Term::Iri(ns + "age");
   for (int i = 0; i < kPeople; ++i) {
     Term p = Term::Iri(ns + "p" + std::to_string(i));
-    g.Add(p, age, Term::Integer(20 + i % 60));
-    g.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 1) % kPeople)));
-    g.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 7) % kPeople)));
+    b.Add(p, age, Term::Integer(20 + i % 60));
+    b.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 1) % kPeople)));
+    b.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 7) % kPeople)));
   }
+  db->dataset().default_graph().Apply(std::move(b));
   // The "external array store": a foreign function whose cost is I/O wait,
   // not CPU. Each call blocks like a chunk fetch from a back-end DBMS.
   db->RegisterForeign(
@@ -383,18 +384,19 @@ int RunReadDuringWriteBench(bool smoke, std::string* runs_json) {
 
   SSDM db;
   db.prefixes().Set("ex", "http://example.org/");
-  Graph& g = db.dataset().default_graph();
+  WriteBatch b;
   const std::string ns = "http://example.org/";
   Term knows = Term::Iri(ns + "knows");
   Term age = Term::Iri(ns + "age");
   for (int i = 0; i < kReadBenchEntities; ++i) {
     Term p = Term::Iri(ns + "e" + std::to_string(i));
-    g.Add(p, age, Term::Integer(20 + i % 60));
-    g.Add(p, knows,
+    b.Add(p, age, Term::Integer(20 + i % 60));
+    b.Add(p, knows,
           Term::Iri(ns + "e" + std::to_string((i + 1) % kReadBenchEntities)));
-    g.Add(p, knows,
+    b.Add(p, knows,
           Term::Iri(ns + "e" + std::to_string((i + 7) % kReadBenchEntities)));
   }
+  db.dataset().default_graph().Apply(std::move(b));
 
   std::printf("\nread-during-write workload: %d two-pattern star reads, "
               "4 reader + 4 writer threads, delta kept pending\n",

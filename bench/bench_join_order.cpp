@@ -45,50 +45,56 @@ const char* kNs = "http://example.org/";
 /// of them a mid predicate, and a handful the rare predicate the planner
 /// should lead with.
 void BuildStar(Graph* g, int subjects, int fan) {
+  WriteBatch batch;
   Term wide = Term::Iri(std::string(kNs) + "wide");
   Term mid = Term::Iri(std::string(kNs) + "mid");
   Term rare = Term::Iri(std::string(kNs) + "rare");
   for (int i = 0; i < subjects; ++i) {
     Term s = Term::Iri(std::string(kNs) + "s" + std::to_string(i));
     for (int f = 0; f < fan; ++f) {
-      g->Add(s, wide, Term::Integer(i * fan + f));
+      batch.Add(s, wide, Term::Integer(i * fan + f));
     }
-    if (i % 10 == 0) g->Add(s, mid, Term::Integer(i));
-    if (i % (subjects / 8 + 1) == 0) g->Add(s, rare, Term::Integer(i));
+    if (i % 10 == 0) batch.Add(s, mid, Term::Integer(i));
+    if (i % (subjects / 8 + 1) == 0) batch.Add(s, rare, Term::Integer(i));
   }
+  g->Apply(std::move(batch));
 }
 
 /// Chain data: a ring of e1/e2 edges; exactly one node carries the target
 /// name so the chain query's last textual pattern is the selective one.
 void BuildChain(Graph* g, int nodes) {
+  WriteBatch batch;
   Term e1 = Term::Iri(std::string(kNs) + "e1");
   Term e2 = Term::Iri(std::string(kNs) + "e2");
   Term name = Term::Iri(std::string(kNs) + "name");
   for (int i = 0; i < nodes; ++i) {
     Term a = Term::Iri(std::string(kNs) + "c" + std::to_string(i));
     Term b = Term::Iri(std::string(kNs) + "c" + std::to_string((i + 1) % nodes));
-    g->Add(a, e1, b);
-    g->Add(a, e2, Term::Iri(std::string(kNs) + "c" +
-                            std::to_string((i + 3) % nodes)));
-    g->Add(a, name, Term::String("node" + std::to_string(i)));
+    batch.Add(a, e1, b);
+    batch.Add(a, e2, Term::Iri(std::string(kNs) + "c" +
+                               std::to_string((i + 3) % nodes)));
+    batch.Add(a, name, Term::String("node" + std::to_string(i)));
   }
-  g->Add(Term::Iri(std::string(kNs) + "c0"), name, Term::String("target"));
+  batch.Add(Term::Iri(std::string(kNs) + "c0"), name, Term::String("target"));
+  g->Apply(std::move(batch));
 }
 
 /// Thesis-example data: persons with names, knows edges, one "Alice".
 void BuildThesis(Graph* g, int people) {
+  WriteBatch batch;
   Term name = Term::Iri(std::string(kNs) + "fname");
   Term knows = Term::Iri(std::string(kNs) + "knows");
   for (int i = 0; i < people; ++i) {
     Term p = Term::Iri(std::string(kNs) + "person" + std::to_string(i));
-    g->Add(p, name, Term::String("p" + std::to_string(i)));
-    g->Add(p, knows, Term::Iri(std::string(kNs) + "person" +
-                               std::to_string((i + 1) % people)));
-    g->Add(p, knows, Term::Iri(std::string(kNs) + "person" +
-                               std::to_string((i * 13 + 5) % people)));
+    batch.Add(p, name, Term::String("p" + std::to_string(i)));
+    batch.Add(p, knows, Term::Iri(std::string(kNs) + "person" +
+                                  std::to_string((i + 1) % people)));
+    batch.Add(p, knows, Term::Iri(std::string(kNs) + "person" +
+                                  std::to_string((i * 13 + 5) % people)));
   }
-  g->Add(Term::Iri(std::string(kNs) + "person42"), name,
-         Term::String("Alice"));
+  batch.Add(Term::Iri(std::string(kNs) + "person42"), name,
+            Term::String("Alice"));
+  g->Apply(std::move(batch));
 }
 
 double TimeQuery(SSDM* db, const std::string& q, int reps, size_t* rows) {
@@ -128,6 +134,7 @@ bool PlanReordered(SSDM* db, const std::string& q) {
 /// join ordering can't save the scan-and-bind executor from probing an
 /// entire extent; the join *output* is small. `3 * docs` triples.
 void BuildSpbStar(Graph* g, int docs) {
+  WriteBatch batch;
   const std::string base = "http://localhost/publications/journal/doc";
   Term creator = Term::Iri("http://purl.org/dc/elements/1.1/creator");
   Term year = Term::Iri("http://purl.org/dc/terms/issued");
@@ -136,13 +143,14 @@ void BuildSpbStar(Graph* g, int docs) {
   for (int i = 0; i < docs; ++i) {
     // creator on docs [0, N); issued and journal on [N - overlap, 2N - overlap).
     Term d = Term::Iri(base + std::to_string(i));
-    g->Add(d, creator,
-           Term::Iri("http://localhost/persons/p" + std::to_string(i % 977)));
+    batch.Add(d, creator, Term::Iri("http://localhost/persons/p" +
+                                    std::to_string(i % 977)));
     Term d2 = Term::Iri(base + std::to_string(docs - overlap + i));
-    g->Add(d2, year, Term::Integer(1940 + i % 70));
-    g->Add(d2, journal, Term::Iri("http://localhost/publications/journal/j" +
-                                  std::to_string(i % 211)));
+    batch.Add(d2, year, Term::Integer(1940 + i % 70));
+    batch.Add(d2, journal, Term::Iri("http://localhost/publications/journal/j" +
+                                     std::to_string(i % 211)));
   }
+  g->Apply(std::move(batch));
 }
 
 /// Citation-style chain: a ring of `cites` edges, plus an `extends` edge
@@ -150,6 +158,7 @@ void BuildSpbStar(Graph* g, int docs) {
 /// (papers outside the corpus) that cite nothing. Both hops of the chain
 /// join are full-extent, the result is small. `2 * nodes` triples.
 void BuildSpbChain(Graph* g, int nodes) {
+  WriteBatch batch;
   const std::string base = "http://localhost/publications/inproc/paper";
   Term cites = Term::Iri("http://purl.org/ontology/bibo/cites");
   Term extends = Term::Iri("http://localhost/vocabulary/bench#extends");
@@ -157,12 +166,13 @@ void BuildSpbChain(Graph* g, int nodes) {
   for (int i = 0; i < nodes; ++i) {
     Term a = Term::Iri(base + std::to_string(i));
     Term b = Term::Iri(base + std::to_string((i + 1) % nodes));
-    g->Add(a, cites, b);
+    batch.Add(a, cites, b);
     bool real = (i % (nodes / overlap)) == 0;
     Term c = real ? Term::Iri(base + std::to_string((i * 31 + 7) % nodes))
                   : Term::Iri(base + "-dangling" + std::to_string(i));
-    g->Add(a, extends, c);
+    batch.Add(a, extends, c);
   }
+  g->Apply(std::move(batch));
 }
 
 double TimeIdMode(SSDM* db, const std::string& q, bool id_joins, int reps,

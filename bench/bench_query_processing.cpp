@@ -41,7 +41,7 @@ using bench::Timer;
 /// Synthetic social graph: `people` persons, ring of knows edges plus a
 /// couple of hub nodes, ages, and one rare tag.
 void BuildGraph(SSDM* db, int people) {
-  Graph& g = db->dataset().default_graph();
+  WriteBatch b;
   const std::string ns = "http://example.org/";
   Term knows = Term::Iri(ns + "knows");
   Term age = Term::Iri(ns + "age");
@@ -50,15 +50,15 @@ void BuildGraph(SSDM* db, int people) {
   Term person = Term::Iri(ns + "Person");
   for (int i = 0; i < people; ++i) {
     Term p = Term::Iri(ns + "p" + std::to_string(i));
-    g.Add(p, type, person);
-    g.Add(p, name, Term::String("person" + std::to_string(i)));
-    g.Add(p, age, Term::Integer(20 + i % 60));
-    g.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 1) % people)));
-    g.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 7) % people)));
+    b.Add(p, type, person);
+    b.Add(p, name, Term::String("person" + std::to_string(i)));
+    b.Add(p, age, Term::Integer(20 + i % 60));
+    b.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 1) % people)));
+    b.Add(p, knows, Term::Iri(ns + "p" + std::to_string((i + 7) % people)));
     if (i % (people / 4 + 1) == 0) {
-      g.Add(p, Term::Iri(ns + "tag"), Term::String("rare"));
+      b.Add(p, Term::Iri(ns + "tag"), Term::String("rare"));
     }
-  }
+  }  db->dataset().default_graph().Apply(std::move(b));
 }
 
 double TimeQuery(SSDM* db, const std::string& q, int reps, size_t* rows) {

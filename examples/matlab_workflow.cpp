@@ -87,9 +87,10 @@ SELECT ?s[1:10] WHERE { ?r <http://example.org/frequency> 1.5 ;
   ArrayId linked = *storage2->LinkExisting(dir + "/arr_2.ssa");
   db2.AttachStorage(storage2);
   Term proxy = *db2.OpenStoredArray("file", linked);
-  db2.dataset().default_graph().Add(
-      Term::Iri("http://example.org/imported"),
-      Term::Iri("http://example.org/signal"), proxy);
+  WriteBatch import;
+  import.Add(Term::Iri("http://example.org/imported"),
+             Term::Iri("http://example.org/signal"), proxy);
+  db2.dataset().default_graph().Apply(std::move(import));
   auto check = db2.Execute(
       "SELECT (AELEMS(?s) AS ?n) WHERE { ?x "
       "<http://example.org/signal> ?s }");

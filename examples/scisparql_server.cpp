@@ -283,6 +283,6 @@ ORDER BY ?site)");
   std::printf("requests served: %llu\n",
               static_cast<unsigned long long>(server.requests_served()));
   auto stats = session->Stats();
-  if (stats.ok()) std::printf("scheduler: %s\n", stats->c_str());
+  if (stats.ok()) std::printf("%s", stats->c_str());
   return 0;
 }

@@ -54,13 +54,16 @@ NumericArray SimulateTrajectory(int timesteps, double k1, double ka,
 Result<BistabStats> GenerateBistab(SSDM* engine, const BistabConfig& config) {
   BistabStats stats;
   Graph& g = engine->dataset().default_graph();
+  // The whole sweep lands as one batch once every array is stored.
+  WriteBatch batch;
   const std::string ns = kBistabNs;
   uint64_t state = config.seed;
 
   Term experiment = Term::Iri(ns + "experiment1");
-  g.Add(experiment, Term::Iri(vocab::kRdfType), Term::Iri(ns + "Experiment"));
-  g.Add(experiment, Term::Iri(ns + "description"),
-        Term::String("synthetic BISTAB parameter sweep"));
+  batch.Add(experiment, Term::Iri(vocab::kRdfType),
+            Term::Iri(ns + "Experiment"));
+  batch.Add(experiment, Term::Iri(ns + "description"),
+            Term::String("synthetic BISTAB parameter sweep"));
 
   int task_no = 0;
   for (int pc = 0; pc < config.parameter_cases; ++pc) {
@@ -71,13 +74,13 @@ Result<BistabStats> GenerateBistab(SSDM* engine, const BistabConfig& config) {
     for (int r = 0; r < config.realizations; ++r) {
       ++task_no;
       Term task = Term::Iri(ns + "task" + std::to_string(task_no));
-      g.Add(experiment, Term::Iri(ns + "hasTask"), task);
-      g.Add(task, Term::Iri(vocab::kRdfType), Term::Iri(ns + "Task"));
-      g.Add(task, Term::Iri(ns + "k_1"), Term::Double(k1));
-      g.Add(task, Term::Iri(ns + "k_a"), Term::Double(ka));
-      g.Add(task, Term::Iri(ns + "k_d"), Term::Double(kd));
-      g.Add(task, Term::Iri(ns + "k_4"), Term::Double(k4));
-      g.Add(task, Term::Iri(ns + "realization"), Term::Integer(r + 1));
+      batch.Add(experiment, Term::Iri(ns + "hasTask"), task);
+      batch.Add(task, Term::Iri(vocab::kRdfType), Term::Iri(ns + "Task"));
+      batch.Add(task, Term::Iri(ns + "k_1"), Term::Double(k1));
+      batch.Add(task, Term::Iri(ns + "k_a"), Term::Double(ka));
+      batch.Add(task, Term::Iri(ns + "k_d"), Term::Double(kd));
+      batch.Add(task, Term::Iri(ns + "k_4"), Term::Double(k4));
+      batch.Add(task, Term::Iri(ns + "realization"), Term::Integer(r + 1));
 
       NumericArray trajectory = SimulateTrajectory(
           config.timesteps, k1, ka, kd, k4, Mix(state));
@@ -90,10 +93,11 @@ Result<BistabStats> GenerateBistab(SSDM* engine, const BistabConfig& config) {
             value, engine->StoreArray(trajectory, config.storage,
                                       config.chunk_elems));
       }
-      g.Add(task, Term::Iri(ns + "result"), value);
+      batch.Add(task, Term::Iri(ns + "result"), value);
       ++stats.tasks;
     }
   }
+  g.Apply(std::move(batch));
   stats.triples = g.size();
   return stats;
 }

@@ -115,7 +115,8 @@ std::string EncodeRequest(const WireRequest& req) {
 
 Result<WireRequest> DecodeRequest(const std::string& payload) {
   if (payload.size() < 10 || payload[0] != kStructuredMarker) {
-    return Status::InvalidArgument("malformed structured request");
+    return Status::InvalidArgument(
+        "malformed request: expected a structured (0x01) frame");
   }
   WireRequest req;
   uint8_t flags = static_cast<uint8_t>(payload[1]);

@@ -19,8 +19,8 @@ namespace client {
 ///   request:  [u32 length][payload]
 ///   response: [u32 length][payload]
 ///
-/// Two request forms share the frame. A payload whose first byte is 0x01
-/// is a *structured* request — the wire mirror of engine::QueryRequest:
+/// There is one request form for statements: the *structured* request,
+/// the wire mirror of engine::QueryRequest, marked by first byte 0x01:
 ///
 ///   [0x01][flags u8][timeout_ms u64 LE][statement text]
 ///     flags bit 0: record a trace and return it with the response
@@ -32,36 +32,30 @@ namespace client {
 ///                  strings are u32-length-prefixed, terms use the term
 ///                  serialization below)
 ///
-/// (No SciSPARQL statement starts with byte 0x01, so the marker cannot
-/// collide with a legacy text request.) A structured request is answered
-/// with a structured response:
+/// It is answered with a structured response:
 ///
 ///   [0x01][kind u8][u32 LE body length][body][rendered trace text]
 ///     kind 'R' rows    — serialized QueryResult (SELECT)
 ///          'B' boolean — one byte (ASK)
 ///          'G' graph   — Turtle text (CONSTRUCT / DESCRIBE)
 ///          'U' update  — decimal triples-touched count (updates / DEFINE),
-///                        optionally followed by " <commit lsn>" on durable
+///                        followed by " <commit lsn> <term>" on durable
 ///                        engines (the client's read-your-writes token)
-///          'I' info    — EXPLAIN [ANALYZE] / STATS / METRICS text
+///          'I' info    — EXPLAIN [ANALYZE] / STATS / METRICS text; the
+///                        STATS reply starts with a "scheduler: ..." line
+///                        of the server's scheduler counters
 ///
 /// A payload whose first byte is 0x02 is a *replication* request — LSN
 /// probes, WAL-batch fetches and bootstrap snapshots, documented in
-/// repl/wire.h — served by the same port and frame format.
+/// repl/wire.h — served by the same port and frame format. Any other
+/// payload is answered with an InvalidArgument error.
 ///
-/// Any other first byte is a legacy request: the bare statement text,
-/// answered with a one-byte kind tag + body:
-///   'R' rows, 'B' boolean, 'G' graph, 'O' ok (updates / DEFINE),
-///   'I' info, 'S' stats ("STATS" verb: scheduler counters + engine
-///   optimizer statistics).
+/// Errors are 'E' (status code byte + message), unmarked, for every
+/// request.
 ///
-/// Errors use 'E' (status code byte + message) in both forms.
-///
-/// Every request — including the STATS/METRICS verbs and EXPLAIN
-/// statements, all classified as reads — is submitted to the query
-/// scheduler, so engine access always happens under its reader-writer
-/// lock; the server only adds its local scheduler counters to the STATS
-/// reply.
+/// Every statement — including the STATS/METRICS verbs and EXPLAIN, all
+/// classified as reads — is submitted to the query scheduler, so engine
+/// access always happens under its reader-writer lock.
 ///
 /// Terms serialize with a kind tag; arrays travel as shape + row-major
 /// elements (proxies are materialized server-side — the client always

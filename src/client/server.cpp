@@ -150,45 +150,43 @@ std::string SsdmServer::Dispatch(const std::string& request, int fd) {
   // Replication verbs (marker 0x02) are served by the WAL shipper on this
   // I/O thread: probe and fetch never touch the engine (the durable-LSN
   // atomic gates what the segment scan may ship), and the snapshot verb
-  // goes through the scheduler as a read like everything else.
+  // goes through the scheduler, which runs it exclusively.
   if (!request.empty() && request[0] == repl::kReplMarker) {
     Result<std::string> reply = shipper_->Handle(request, scheduler_.get());
     return reply.ok() ? *reply : ErrorPayload(reply.status());
   }
-  // Both request forms funnel into one QueryRequest and one scheduler
-  // submission; only the response encoding differs. The "STATS" verb is
-  // answered with scheduler counters plus the engine's report; the engine
-  // part is produced by the engine's own STATS statement, which classifies
-  // as a read — so it goes through the scheduler below and runs under the
-  // shared engine lock like any query (no unsynchronized engine access
-  // from this thread).
-  bool structured = !request.empty() && request[0] == kStructuredMarker;
+  // Everything else must be a structured request (DecodeRequest rejects
+  // any other payload): one QueryRequest, one scheduler submission. The
+  // "STATS" verb is answered with scheduler counters plus the engine's
+  // report; the engine part is produced by the engine's own STATS
+  // statement, which classifies as a read — so it goes through the
+  // scheduler below and runs under the shared engine lock like any query
+  // (no unsynchronized engine access from this thread).
+  Result<WireRequest> wire = DecodeRequest(request);
+  if (!wire.ok()) return ErrorPayload(wire.status());
   QueryRequest req;
   obs::QueryTrace trace;
-  bool want_trace = false;
-  if (structured) {
-    Result<WireRequest> wire = DecodeRequest(request);
-    if (!wire.ok()) return ErrorPayload(wire.status());
-    if (wire->is_prepared) {
-      QueryRequest::PreparedCall call;
-      call.name = std::move(wire->prepared_name);
-      call.args = std::move(wire->prepared_args);
-      req.prepared = std::move(call);
-    } else {
-      req.text = std::move(wire->text);
-    }
-    req.timeout = wire->timeout;
-    if (wire->has_optimize || wire->has_push_filters) {
-      sparql::ExecOptions opts = engine_->exec_options();
-      if (wire->has_optimize) opts.optimize_join_order = wire->optimize;
-      if (wire->has_push_filters) opts.push_filters = wire->push_filters;
-      req.options = opts;
-    }
-    want_trace = wire->want_trace;
-    if (want_trace) req.trace_sink = &trace;
+  if (wire->is_prepared) {
+    QueryRequest::PreparedCall call;
+    call.name = std::move(wire->prepared_name);
+    call.args = std::move(wire->prepared_args);
+    req.prepared = std::move(call);
   } else {
-    req.text = request;
+    req.text = std::move(wire->text);
   }
+  req.timeout = wire->timeout;
+  if (wire->has_optimize || wire->has_push_filters) {
+    sparql::ExecOptions opts = engine_->exec_options();
+    if (wire->has_optimize) opts.optimize_join_order = wire->optimize;
+    if (wire->has_push_filters) opts.push_filters = wire->push_filters;
+    req.options = opts;
+  }
+  const bool want_trace = wire->want_trace;
+  if (want_trace) req.trace_sink = &trace;
+  // Same normalization as SSDM::Execute's STATS recognition.
+  const bool stats_verb =
+      !req.prepared.has_value() &&
+      EqualsIgnoreCase(StripWhitespace(req.text), "STATS");
 
   // Self-fencing lease: a primary cut off from its replicas must stop
   // taking writes before the cluster can elect a successor, or a client
@@ -244,84 +242,50 @@ std::string SsdmServer::Dispatch(const std::string& request, int fd) {
     }
   }
 
-  if (structured) {
-    // The serialize phase is part of the query's trace: it is wall time
-    // the client observes before its answer arrives.
-    obs::TraceSpan* ser_span =
-        want_trace ? trace.AddChild(nullptr, "serialize") : nullptr;
-    obs::SpanTimer ser_timer(ser_span);
-    WireResponse resp;
-    switch (result->kind()) {
-      case QueryOutcome::Kind::kRows:
-        resp.kind = 'R';
-        resp.body = SerializeResult(result->rows());
-        break;
-      case QueryOutcome::Kind::kGraph:
-        resp.kind = 'G';
-        resp.body = loaders::WriteTurtle(result->graph(), engine_->prefixes());
-        break;
-      case QueryOutcome::Kind::kAsk:
-        resp.kind = 'B';
-        resp.body.push_back(result->ask() ? 1 : 0);
-        break;
-      case QueryOutcome::Kind::kUpdateCount: {
-        resp.kind = 'U';
-        resp.body = std::to_string(result->update_count());
-        // The commit LSN rides along as a second decimal field — the
-        // client's read-your-writes token. Old clients strtoll the count
-        // and never look past the space.
-        const auto& u = std::get<QueryOutcome::UpdateCount>(result->value);
-        if (u.lsn > 0) {
-          resp.body += " " + std::to_string(u.lsn);
-          // Third field: the executing primary's fencing term, so routers
-          // can spot acks from a deposed primary.
-          resp.body += " " + std::to_string(u.term);
-        }
-        break;
-      }
-      case QueryOutcome::Kind::kInfo:
-        resp.kind = 'I';
-        resp.body = result->info();
-        break;
-    }
-    ser_timer.Stop();
-    if (want_trace) resp.trace = trace.Render();
-    return EncodeResponse(resp);
-  }
-
-  // Legacy text request: legacy kind tags ('O' for updates/DEFINE, and
-  // the 'S' STATS compatibility tag).
-  std::string payload;
+  // The serialize phase is part of the query's trace: it is wall time the
+  // client observes before its answer arrives.
+  obs::TraceSpan* ser_span =
+      want_trace ? trace.AddChild(nullptr, "serialize") : nullptr;
+  obs::SpanTimer ser_timer(ser_span);
+  WireResponse resp;
   switch (result->kind()) {
     case QueryOutcome::Kind::kRows:
-      payload.push_back('R');
-      payload += SerializeResult(result->rows());
-      break;
-    case QueryOutcome::Kind::kAsk:
-      payload.push_back('B');
-      payload.push_back(result->ask() ? 1 : 0);
+      resp.kind = 'R';
+      resp.body = SerializeResult(result->rows());
       break;
     case QueryOutcome::Kind::kGraph:
-      payload.push_back('G');
-      payload += loaders::WriteTurtle(result->graph(), engine_->prefixes());
+      resp.kind = 'G';
+      resp.body = loaders::WriteTurtle(result->graph(), engine_->prefixes());
       break;
-    case QueryOutcome::Kind::kUpdateCount:
-      payload.push_back('O');
+    case QueryOutcome::Kind::kAsk:
+      resp.kind = 'B';
+      resp.body.push_back(result->ask() ? 1 : 0);
       break;
-    case QueryOutcome::Kind::kInfo:
-      // Same normalization as SSDM::Execute's STATS recognition, so a
-      // request like " stats " gets the 'S' tag + scheduler counters
-      // rather than silently degrading to a plain 'I' reply.
-      if (EqualsIgnoreCase(StripWhitespace(request), "STATS")) {
-        payload.push_back('S');
-        payload += "scheduler: " + scheduler_->stats().ToString() + "\n";
-      } else {
-        payload.push_back('I');
+    case QueryOutcome::Kind::kUpdateCount: {
+      resp.kind = 'U';
+      resp.body = std::to_string(result->update_count());
+      // The commit LSN rides along as a second decimal field — the
+      // client's read-your-writes token — and the executing primary's
+      // fencing term as a third, so routers can spot acks from a deposed
+      // primary.
+      const auto& u = std::get<QueryOutcome::UpdateCount>(result->value);
+      if (u.lsn > 0) {
+        resp.body += " " + std::to_string(u.lsn);
+        resp.body += " " + std::to_string(u.term);
       }
-      payload += result->info();
+      break;
+    }
+    case QueryOutcome::Kind::kInfo:
+      resp.kind = 'I';
+      if (stats_verb) {
+        resp.body = "scheduler: " + scheduler_->stats().ToString() + "\n";
+      }
+      resp.body += result->info();
       break;
   }
-  return payload;
+  ser_timer.Stop();
+  if (want_trace) resp.trace = trace.Render();
+  return EncodeResponse(resp);
 }
 
 RemoteSession::~RemoteSession() {
@@ -425,7 +389,7 @@ Status RemoteSession::Reconnect() {
   return Status::OK();
 }
 
-Result<std::string> RemoteSession::RoundTrip(const std::string& text,
+Result<std::string> RemoteSession::RoundTrip(const std::string& request,
                                              bool retry_safe) {
   int attempts = retry_safe ? std::max(retry_.max_attempts, 1) : 1;
   Status last = Status::OK();
@@ -442,7 +406,7 @@ Result<std::string> RemoteSession::RoundTrip(const std::string& text,
       last = Status::IoError("session not connected");
       continue;
     }
-    Status sent = WriteFrame(fd_, text);
+    Status sent = WriteFrame(fd_, request);
     Result<std::string> payload =
         sent.ok() ? ReadFrame(fd_) : Result<std::string>(sent);
     if (payload.ok()) {
@@ -537,42 +501,32 @@ Result<QueryOutcome> RemoteSession::Execute(const QueryRequest& req) {
 }
 
 Result<sparql::QueryResult> RemoteSession::Query(const std::string& text) {
-  Result<std::string> payload = RoundTrip(
-      text, SSDM::ClassifyStatement(text) == sched::StatementClass::kRead);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'R') {
+  SCISPARQL_ASSIGN_OR_RETURN(QueryOutcome out, Execute(QueryRequest(text)));
+  if (out.kind() != QueryOutcome::Kind::kRows) {
     return Status::InvalidArgument("statement is not a SELECT query");
   }
-  return DeserializeResult(payload->substr(1));
+  return std::move(out.rows());
 }
 
 Result<bool> RemoteSession::Ask(const std::string& text) {
-  Result<std::string> payload = RoundTrip(
-      text, SSDM::ClassifyStatement(text) == sched::StatementClass::kRead);
-  if (!payload.ok()) return payload.status();
-  if (payload->size() < 2 || (*payload)[0] != 'B') {
+  SCISPARQL_ASSIGN_OR_RETURN(QueryOutcome out, Execute(QueryRequest(text)));
+  if (out.kind() != QueryOutcome::Kind::kAsk) {
     return Status::InvalidArgument("statement is not an ASK query");
   }
-  return (*payload)[1] != 0;
+  return out.ask();
 }
 
 Result<std::string> RemoteSession::Run(const std::string& text) {
-  Result<std::string> payload = RoundTrip(text);
-  if (!payload.ok()) return payload.status();
-  if (!payload->empty() &&
-      ((*payload)[0] == 'G' || (*payload)[0] == 'I')) {
-    return payload->substr(1);
+  SCISPARQL_ASSIGN_OR_RETURN(QueryOutcome out, Execute(QueryRequest(text)));
+  if (out.kind() == QueryOutcome::Kind::kGraph) {
+    return loaders::WriteTurtle(out.graph(), PrefixMap());
   }
+  if (out.kind() == QueryOutcome::Kind::kInfo) return out.info();
   return std::string();
 }
 
 Result<std::string> RemoteSession::Explain(const std::string& query) {
-  Result<std::string> payload = RoundTrip("EXPLAIN " + query, true);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'I') {
-    return Status::Internal("malformed EXPLAIN response");
-  }
-  return payload->substr(1);
+  return Info("EXPLAIN " + query);
 }
 
 Status RemoteSession::Prepare(const std::string& name,
@@ -604,22 +558,16 @@ Result<QueryOutcome> RemoteSession::ExecutePrepared(
   return Execute(req);
 }
 
-Result<std::string> RemoteSession::Stats() {
-  Result<std::string> payload = RoundTrip("STATS", true);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'S') {
-    return Status::Internal("malformed STATS response");
-  }
-  return payload->substr(1);
-}
+Result<std::string> RemoteSession::Stats() { return Info("STATS"); }
 
-Result<std::string> RemoteSession::Metrics() {
-  Result<std::string> payload = RoundTrip("METRICS", true);
-  if (!payload.ok()) return payload.status();
-  if (payload->empty() || (*payload)[0] != 'I') {
-    return Status::Internal("malformed METRICS response");
+Result<std::string> RemoteSession::Metrics() { return Info("METRICS"); }
+
+Result<std::string> RemoteSession::Info(const std::string& text) {
+  SCISPARQL_ASSIGN_OR_RETURN(QueryOutcome out, Execute(QueryRequest(text)));
+  if (out.kind() != QueryOutcome::Kind::kInfo) {
+    return Status::Internal("malformed " + text + " response");
   }
-  return payload->substr(1);
+  return out.info();
 }
 
 }  // namespace client

@@ -177,13 +177,16 @@ class RemoteSession {
   /// not transported — disconnecting cancels the in-flight statement.
   Result<QueryOutcome> Execute(const QueryRequest& req);
 
+  // Query/Ask/Run/Stats/Metrics/Explain are thin adapters over Execute.
+
   /// SELECT queries; other statement forms are reported as errors.
   Result<sparql::QueryResult> Query(const std::string& text);
 
   /// ASK queries.
   Result<bool> Ask(const std::string& text);
 
-  /// Updates / DEFINE; also accepts CONSTRUCT (returns the Turtle text).
+  /// Updates / DEFINE; also accepts CONSTRUCT (returns the graph as
+  /// Turtle) and info statements (returns their text).
   Result<std::string> Run(const std::string& text);
 
   /// The STATS protocol verb: the server's scheduler counters plus the
@@ -224,13 +227,17 @@ class RemoteSession {
   RemoteSession(int fd, std::string host, int port,
                 std::chrono::milliseconds timeout, RetryOptions retry);
 
-  /// Sends a statement and returns the raw (kind-tagged) response payload.
-  /// When `retry_safe` is true (read-class statements and prepared calls —
-  /// safe to run twice) a broken connection is re-established with backoff
-  /// and the request resent, up to retry_.max_attempts tries. Timeouts are
-  /// never retried: the server may still be executing the statement.
-  Result<std::string> RoundTrip(const std::string& text,
-                                bool retry_safe = false);
+  /// Sends a request payload and returns the raw response payload, with
+  /// 'E' replies mapped to their Status. When `retry_safe` is true
+  /// (read-class statements and prepared calls — safe to run twice) a
+  /// broken connection is re-established with backoff and the request
+  /// resent, up to retry_.max_attempts tries. Timeouts are never retried:
+  /// the server may still be executing the statement.
+  Result<std::string> RoundTrip(const std::string& request,
+                                bool retry_safe);
+  /// Executes an info statement (STATS, METRICS, EXPLAIN) and returns its
+  /// text.
+  Result<std::string> Info(const std::string& text);
 
   /// Closes the current socket and dials the server again (one attempt;
   /// the caller owns the backoff loop).

@@ -17,18 +17,22 @@ Result<Term> Session::StoreResult(
     SCISPARQL_ASSIGN_OR_RETURN(value,
                                engine_->StoreArray(array, storage_name_));
   }
-  Graph& g = engine_->dataset().default_graph();
-  g.Add(Term::Iri(experiment_iri), Term::Iri(property_iri), value);
+  // The result and its annotations land as one batch: no reader sees
+  // the array without its metadata.
+  WriteBatch batch;
+  batch.Add(Term::Iri(experiment_iri), Term::Iri(property_iri), value);
   for (const auto& [prop, term] : metadata) {
-    g.Add(Term::Iri(experiment_iri), Term::Iri(prop), term);
+    batch.Add(Term::Iri(experiment_iri), Term::Iri(prop), term);
   }
+  engine_->dataset().default_graph().Apply(std::move(batch));
   return value;
 }
 
 Status Session::Annotate(const std::string& subject_iri,
                          const std::string& property_iri, Term value) {
-  engine_->dataset().default_graph().Add(
-      Term::Iri(subject_iri), Term::Iri(property_iri), std::move(value));
+  WriteBatch batch;
+  batch.Add(Term::Iri(subject_iri), Term::Iri(property_iri), std::move(value));
+  engine_->dataset().default_graph().Apply(std::move(batch));
   return Status::OK();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -88,12 +87,19 @@ sched::StatementClass SSDM::ClassifyStatement(const std::string& text) {
         if (i < n && text[i] == ':') ++i;
         continue;
       }
+      if (w == "REPL") {
+        // REPL LSN/STATUS are introspection: replicas serve them under
+        // the shared lock while applying. REPL SNAPSHOT folds the deltas
+        // and must see no writer between its content and its LSN.
+        i += w.size();
+        while (i < n && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
+        return word_at(i) == "SNAPSHOT" ? sched::StatementClass::kExclusive
+                                        : sched::StatementClass::kRead;
+      }
       if (w == "SELECT" || w == "ASK" || w == "CONSTRUCT" ||
           w == "DESCRIBE" || w == "EXPLAIN" || w == "STATS" ||
-          w == "METRICS" || w == "EXECUTE" || w == "REPL") {
+          w == "METRICS" || w == "EXECUTE") {
         // EXECUTE runs a PREPARE'd body, which is always a query form.
-        // REPL introspection (LSN/STATUS/SNAPSHOT) must run under the
-        // shared lock so replicas can serve it while applying.
         return sched::StatementClass::kRead;
       }
       if (w == "INSERT" || w == "DELETE" || w == "WITH") {
@@ -358,6 +364,9 @@ Result<QueryOutcome> SSDM::Execute(const QueryRequest& req,
   if (head == "REPL" && trimmed.size() > head.size()) {
     std::string verb =
         leading_word(StripWhitespace(trimmed.substr(head.size())));
+    if (verb == "SNAPSHOT" && ctx != nullptr && !ctx->exclusive) {
+      return Status::FailedPrecondition(kNeedsExclusiveMsg);
+    }
     StatementCounter("info").Add();
     return ExecuteReplStatement(verb);
   }
@@ -610,20 +619,14 @@ Result<Term> SSDM::StoreArray(const NumericArray& array,
 }
 
 namespace {
-// Legacy snapshot section marker. '#' makes it a comment to any plain
-// Turtle tool; the pre-SSNP loader splits on it before parsing.
-constexpr const char* kGraphMarker = "#%GRAPH ";
 
-/// Renders the dataset into checksummed-snapshot sections + footer.
-/// Sections are dictionary-encoded (distinct terms once, triples as index
-/// tuples, stored arrays as back-end refs instead of materialized
-/// collections); the loader still accepts Turtle bodies from older
-/// snapshots.
-Status BuildSnapshotSections(const Dataset& dataset, const PrefixMap& prefixes,
-                             uint64_t wal_lsn,
+/// Renders the dataset into checksummed-snapshot sections + footer, one
+/// dictionary-encoded section per graph (distinct terms once, triples as
+/// index tuples). The encoder walks the base indexes only: the caller
+/// folds the deltas first, under exclusivity.
+Status BuildSnapshotSections(const Dataset& dataset, uint64_t wal_lsn,
                              std::vector<storage::SnapshotSection>* sections,
                              storage::SnapshotFooter* footer) {
-  (void)prefixes;
   footer->wal_lsn = wal_lsn;
   SCISPARQL_ASSIGN_OR_RETURN(
       std::string body, storage::EncodeDictSection(dataset.default_graph()));
@@ -638,29 +641,24 @@ Status BuildSnapshotSections(const Dataset& dataset, const PrefixMap& prefixes,
   return Status::OK();
 }
 
-}  // namespace
-
-Status SSDM::BuildDatasetFromSections(
-    const std::vector<std::pair<std::string, std::string>>& sections,
-    Dataset* out) {
-  for (const auto& [iri, body] : sections) {
-    Graph* g = iri.empty() ? &out->default_graph()
-                           : &out->GetOrCreateNamed(iri);
-    if (storage::IsDictSection(body)) {
-      auto resolve = [this](const std::string& name,
-                            uint64_t id) -> Result<Term> {
-        return OpenStoredArray(name, static_cast<ArrayId>(id));
-      };
-      SCISPARQL_RETURN_NOT_OK(storage::DecodeDictSection(body, resolve, g));
-      continue;
+/// Builds a Dataset from decoded snapshot sections.
+Status BuildDatasetFromSections(
+    const std::vector<storage::SnapshotSection>& sections, Dataset* out) {
+  for (const storage::SnapshotSection& sec : sections) {
+    if (!storage::IsDictSection(sec.body)) {
+      return Status::IoError(
+          "snapshot section for graph '" + sec.graph_iri +
+          "' is not a dictionary section (pre-dictionary Turtle snapshots "
+          "no longer load)");
     }
-    // Legacy Turtle section (pre-dictionary snapshot).
-    loaders::TurtleOptions opts;
-    opts.prefixes = prefixes_;
-    SCISPARQL_RETURN_NOT_OK(loaders::LoadTurtleString(body, g, opts));
+    Graph* g = sec.graph_iri.empty() ? &out->default_graph()
+                                     : &out->GetOrCreateNamed(sec.graph_iri);
+    SCISPARQL_RETURN_NOT_OK(storage::DecodeDictSection(sec.body, g));
   }
   return Status::OK();
 }
+
+}  // namespace
 
 void SSDM::BeginConcurrentWrites() {
   if (concurrent_refs_.fetch_add(1, std::memory_order_acq_rel) == 0) {
@@ -706,68 +704,27 @@ void SSDM::InstallDataset(Dataset fresh) {
 Status SSDM::SaveSnapshot(const std::string& path) {
   storage::Vfs* vfs =
       durability_ != nullptr ? durability_->vfs() : storage::DefaultVfs();
-  // The dictionary encoder walks the base indexes only.
   dataset_.FoldDeltas();
   std::vector<storage::SnapshotSection> sections;
   storage::SnapshotFooter footer;
   // A standalone snapshot is not coordinated with the WAL; only
   // Checkpoint() stamps a real LSN.
-  SCISPARQL_RETURN_NOT_OK(BuildSnapshotSections(
-      dataset_, prefixes_, /*wal_lsn=*/0, &sections, &footer));
+  SCISPARQL_RETURN_NOT_OK(
+      BuildSnapshotSections(dataset_, /*wal_lsn=*/0, &sections, &footer));
   return storage::WriteSnapshot(vfs, path, sections, footer);
 }
 
 Status SSDM::LoadSnapshot(const std::string& path) {
   storage::Vfs* vfs =
       durability_ != nullptr ? durability_->vfs() : storage::DefaultVfs();
-  if (storage::IsSnapshotFile(vfs, path)) {
-    SCISPARQL_ASSIGN_OR_RETURN(storage::SnapshotContents contents,
-                               storage::ReadSnapshot(vfs, path));
-    std::vector<std::pair<std::string, std::string>> sections;
-    for (storage::SnapshotSection& sec : contents.sections) {
-      sections.emplace_back(std::move(sec.graph_iri), std::move(sec.turtle));
-    }
-    Dataset fresh;
-    SCISPARQL_RETURN_NOT_OK(BuildDatasetFromSections(sections, &fresh));
-    InstallDataset(std::move(fresh));
-    return Status::OK();
+  Result<storage::SnapshotContents> contents = storage::ReadSnapshot(vfs, path);
+  if (!contents.ok()) {
+    return Status::IoError("cannot read snapshot: " +
+                           contents.status().message());
   }
-
-  // Legacy plain-Turtle snapshot with "#%GRAPH <iri>" markers.
-  std::ifstream in(path);
-  if (!in.good()) return Status::IoError("cannot read snapshot: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-
   Dataset fresh;
-  std::string current_graph;  // "" = default
-  size_t pos = 0;
-  auto flush_section = [&](const std::string& section) -> Status {
-    Graph* g = current_graph.empty()
-                   ? &fresh.default_graph()
-                   : &fresh.GetOrCreateNamed(current_graph);
-    loaders::TurtleOptions opts;
-    opts.prefixes = prefixes_;
-    return loaders::LoadTurtleString(section, g, opts);
-  };
-  while (pos <= text.size()) {
-    size_t marker = text.find(kGraphMarker, pos);
-    // A marker only counts at the start of a line.
-    while (marker != std::string::npos && marker != 0 &&
-           text[marker - 1] != '\n') {
-      marker = text.find(kGraphMarker, marker + 1);
-    }
-    size_t end = marker == std::string::npos ? text.size() : marker;
-    SCISPARQL_RETURN_NOT_OK(flush_section(text.substr(pos, end - pos)));
-    if (marker == std::string::npos) break;
-    size_t line_end = text.find('\n', marker);
-    if (line_end == std::string::npos) line_end = text.size();
-    current_graph = std::string(StripWhitespace(text.substr(
-        marker + std::strlen(kGraphMarker),
-        line_end - marker - std::strlen(kGraphMarker))));
-    pos = line_end + 1;
-  }
+  SCISPARQL_RETURN_NOT_OK(
+      BuildDatasetFromSections(contents->sections, &fresh));
   InstallDataset(std::move(fresh));
   return Status::OK();
 }
@@ -916,12 +873,8 @@ Status SSDM::Open(const std::string& dir, storage::Vfs* vfs) {
       ++info.snapshots_skipped;
       continue;
     }
-    std::vector<std::pair<std::string, std::string>> sections;
-    for (storage::SnapshotSection& sec : contents->sections) {
-      sections.emplace_back(std::move(sec.graph_iri), std::move(sec.turtle));
-    }
     Dataset candidate;
-    Status built = BuildDatasetFromSections(sections, &candidate);
+    Status built = BuildDatasetFromSections(contents->sections, &candidate);
     if (!built.ok()) {
       ++info.snapshots_skipped;
       continue;
@@ -1011,9 +964,8 @@ Result<std::string> SSDM::CheckpointLocked() {
 
   std::vector<storage::SnapshotSection> sections;
   storage::SnapshotFooter footer;
-  SCISPARQL_RETURN_NOT_OK(BuildSnapshotSections(dataset_, prefixes_,
-                                                snapshot_lsn, &sections,
-                                                &footer));
+  SCISPARQL_RETURN_NOT_OK(
+      BuildSnapshotSections(dataset_, snapshot_lsn, &sections, &footer));
   footer.term = term();
 
   uint64_t seq = durability_->AllocateSnapshotSeq();
@@ -1171,8 +1123,7 @@ Status SSDM::ApplyReplicationFrames(const std::string& frames) {
 }
 
 Status SSDM::BootstrapFromReplication(
-    const std::vector<std::pair<std::string, std::string>>& sections,
-    uint64_t lsn) {
+    const std::vector<storage::SnapshotSection>& sections, uint64_t lsn) {
   Dataset fresh;
   SCISPARQL_RETURN_NOT_OK(BuildDatasetFromSections(sections, &fresh));
   InstallDataset(std::move(fresh));
@@ -1229,17 +1180,18 @@ Result<QueryOutcome> SSDM::ExecuteReplStatement(const std::string& verb) {
     return QueryOutcome{QueryOutcome::Info{out.str()}};
   }
   if (verb == "SNAPSHOT") {
-    // A consistent full-dataset export for replica bootstrap, taken under
-    // whatever lock the scheduler granted this read-class statement. The
-    // Info body is the replication snapshot encoding, not display text.
-    std::vector<std::pair<std::string, std::string>> sections;
-    sections.emplace_back(
-        "", loaders::WriteTurtle(dataset_.default_graph(), prefixes_));
-    for (const auto& [iri, graph] : dataset_.named_graphs()) {
-      sections.emplace_back(iri, loaders::WriteTurtle(graph, prefixes_));
-    }
+    // Replica bootstrap: the checkpoint's own section encoding, under the
+    // same exclusivity as CHECKPOINT. No writer can commit between the
+    // fold and the LSN read, so the LSN covers exactly the encoded
+    // content. The Info body is the replication snapshot encoding, not
+    // display text.
+    dataset_.FoldDeltas();
+    std::vector<storage::SnapshotSection> sections;
+    storage::SnapshotFooter footer;
+    SCISPARQL_RETURN_NOT_OK(
+        BuildSnapshotSections(dataset_, last_lsn(), &sections, &footer));
     return QueryOutcome{QueryOutcome::Info{
-        repl::EncodeSnapshotBody(sections, last_lsn(), term())}};
+        repl::EncodeSnapshotBody(sections, footer.wal_lsn, term())}};
   }
   return Status::InvalidArgument(
       "unknown REPL statement: REPL " + verb +

@@ -19,6 +19,7 @@
 #include "sparql/parser.h"
 #include "storage/array_proxy.h"
 #include "storage/asei.h"
+#include "storage/snapshot.h"
 #include "storage/vfs.h"
 
 namespace scisparql {
@@ -150,13 +151,12 @@ class SSDM {
 
   /// Full-resync hand-off for a replica that fell behind the primary's
   /// WAL retention: replaces the dataset with the shipped snapshot
-  /// sections (graph IRI -> Turtle, "" = default graph) and restarts LSN
+  /// sections (the checkpoint's dictionary sections) and restarts LSN
   /// tracking at `lsn`. A durable replica re-bases its local store —
   /// wipes the stale WAL, writes a checkpoint at `lsn` — so the next
   /// restart recovers to the new timeline.
   Status BootstrapFromReplication(
-      const std::vector<std::pair<std::string, std::string>>& sections,
-      uint64_t lsn);
+      const std::vector<storage::SnapshotSection>& sections, uint64_t lsn);
 
   /// Replica-side checkpoint: the same snapshot + WAL-truncation sequence
   /// as Checkpoint(), but permitted in replica mode — the applier compacts
@@ -326,11 +326,6 @@ class SSDM {
   /// differently under different prefixes).
   std::string CacheKeyFor(const std::string& text) const;
 
-  /// Builds a Dataset from decoded snapshot sections (Turtle per graph).
-  Status BuildDatasetFromSections(
-      const std::vector<std::pair<std::string, std::string>>& sections,
-      Dataset* out);
-
   /// Swaps `fresh` in for the current dataset: clears statistics first
   /// (collectors reference dying graphs), epoch-bumps both cache layers,
   /// re-attaches collectors to the new graphs.
@@ -340,9 +335,9 @@ class SSDM {
   /// CheckpointAsReplica(), after their mode guards.
   Result<std::string> CheckpointLocked();
 
-  /// The REPL introspection statement family (REPL LSN / STATUS /
-  /// SNAPSHOT), classified as reads so replicas serve them under the
-  /// shared lock.
+  /// The REPL statement family. LSN and STATUS are reads, so replicas
+  /// serve them under the shared lock; SNAPSHOT runs exclusively, like
+  /// CHECKPOINT, whose section encoding it shares.
   Result<QueryOutcome> ExecuteReplStatement(const std::string& verb);
 
   Dataset dataset_;

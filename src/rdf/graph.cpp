@@ -34,7 +34,7 @@ Graph::Graph(Graph&& o) noexcept
       listener_(std::move(o.listener_)),
       dict_(std::move(o.dict_)),
       id_triples_(std::move(o.id_triples_)),
-      live_set_(std::move(o.live_set_)),
+      live_rows_(std::move(o.live_rows_)),
       table_stamp_(o.table_stamp_),
       id_cache_(std::move(o.id_cache_)),
       concurrent_(o.concurrent_.load(std::memory_order_relaxed)),
@@ -59,7 +59,7 @@ Graph& Graph::operator=(Graph&& o) noexcept {
   listener_ = std::move(o.listener_);
   dict_ = std::move(o.dict_);
   id_triples_ = std::move(o.id_triples_);
-  live_set_ = std::move(o.live_set_);
+  live_rows_ = std::move(o.live_rows_);
   table_stamp_ = o.table_stamp_;
   id_cache_ = std::move(o.id_cache_);
   concurrent_.store(o.concurrent_.load(std::memory_order_relaxed),
@@ -75,8 +75,11 @@ Graph& Graph::operator=(Graph&& o) noexcept {
 }
 
 Graph Graph::Clone() const {
+  WriteBatch batch;
+  batch.reserve(size());
+  ForEach([&batch](const Triple& t) { batch.Add(t); });
   Graph g;
-  ForEach([&g](const Triple& t) { g.Add(t); });
+  g.Apply(std::move(batch));
   return g;
 }
 
@@ -103,12 +106,24 @@ Graph::ApplyResult Graph::ApplyBase(WriteBatch&& batch,
   // Each op keeps a pointer into the map from its first lookup: a term
   // that is not equal to itself (an array with a NaN cell) would miss a
   // second find(), so there is none — such triples get one node per op
-  // and simply never deduplicate, consistent with NaN comparison.
-  std::unordered_map<Triple, bool, TripleHash> present;
+  // and simply never deduplicate, consistent with NaN comparison. The map
+  // keys point into `ops` rather than copying triples, which keeps large
+  // batches (bulk loads, snapshot sections) from doubling their memory;
+  // it is only probed before the loop below moves triples out of `ops`.
+  struct DerefHash {
+    size_t operator()(const Triple* t) const { return TripleHash()(*t); }
+  };
+  struct DerefEq {
+    bool operator()(const Triple* a, const Triple* b) const {
+      return *a == *b;
+    }
+  };
+  std::unordered_map<const Triple*, bool, DerefHash, DerefEq> present;
+  present.reserve(ops.size());
   std::vector<bool*> live;
   live.reserve(ops.size());
   for (const WriteBatch::Op& op : ops) {
-    auto [it, fresh] = present.try_emplace(op.t, false);
+    auto [it, fresh] = present.try_emplace(&op.t, false);
     if (fresh) it->second = BaseContains(op.t);
     live.push_back(&it->second);
   }
@@ -225,7 +240,8 @@ Graph::ApplyResult Graph::ApplyDelta(WriteBatch&& batch,
 void Graph::AddBase(Triple t, GraphListener* observer) {
   id_triples_.push_back(
       IdTriple{dict_.Intern(t.s), dict_.Intern(t.p), dict_.Intern(t.o)});
-  live_set_.insert(id_triples_.back());
+  live_rows_[id_triples_.back()] =
+      static_cast<uint32_t>(id_triples_.size() - 1);
   version_.fetch_add(1, std::memory_order_release);
   ++table_stamp_;
   if (listener_.ptr != nullptr) listener_.ptr->OnAdd(t);
@@ -237,16 +253,32 @@ void Graph::AddBase(Triple t, GraphListener* observer) {
 
 size_t Graph::RemoveBase(const Triple& t, GraphListener* observer) {
   size_t removed = 0;
-  for (size_t i = 0; i < triples_.size(); ++i) {
-    if (dead_[i] || !(triples_[i] == t)) continue;
+  auto kill = [&](size_t i) {
     dead_[i] = true;
-    live_set_.erase(id_triples_[i]);
+    live_rows_.erase(id_triples_[i]);
     ++dead_count_;
     ++removed;
     version_.fetch_add(1, std::memory_order_release);
     ++table_stamp_;
     if (listener_.ptr != nullptr) listener_.ptr->OnRemove(triples_[i]);
     if (observer != nullptr) observer->OnRemove(triples_[i]);
+  };
+  IdTriple ids;
+  switch (PinIds(t, &ids)) {
+    case Pin::kAbsent:
+      break;
+    case Pin::kExact: {
+      auto it = live_rows_.find(ids);
+      if (it != live_rows_.end()) kill(it->second);
+      break;
+    }
+    case Pin::kScan:
+      // A value-equal copy may live under another ID (2 vs 2.0, arrays
+      // interned by identity): compare every live row by value.
+      for (size_t i = 0; i < triples_.size(); ++i) {
+        if (!dead_[i] && triples_[i] == t) kill(i);
+      }
+      break;
   }
   live_count_.fetch_sub(static_cast<int64_t>(removed),
                         std::memory_order_release);
@@ -260,7 +292,7 @@ void Graph::Clear() {
   dead_count_ = 0;
   dict_.Clear();
   id_triples_.clear();
-  live_set_.clear();
+  live_rows_.clear();
   if (delta_) {
     std::lock_guard<std::mutex> lock(delta_->mu);
     delta_->cells.clear();
@@ -312,7 +344,7 @@ size_t Graph::FoldDelta() {
     for (size_t i = 0; i < triples_.size(); ++i) {
       if (!dead_[i] && tombstoned.count(triples_[i]) > 0) {
         dead_[i] = true;
-        live_set_.erase(id_triples_[i]);
+        live_rows_.erase(id_triples_[i]);
         ++dead_count_;
       }
     }
@@ -322,7 +354,7 @@ size_t Graph::FoldDelta() {
   for (const auto& a : appends) {
     const Triple& t = *a.first;
     IdTriple ids{dict_.Intern(t.s), dict_.Intern(t.p), dict_.Intern(t.o)};
-    live_set_.insert(ids);
+    live_rows_[ids] = static_cast<uint32_t>(id_triples_.size());
     for (size_t i = 0; i < a.second; ++i) {
       id_triples_.push_back(ids);
       triples_.push_back(t);
@@ -410,46 +442,53 @@ size_t Graph::BaseMultiplicity(const Triple& t) const {
   return n;
 }
 
-bool Graph::BaseContains(const Triple& t) const {
-  // Mirrors ScanBase's constant-resolution rules, but answers from the
-  // live-row hash set instead of the permutation indexes — a stale index
-  // cache would force a full rebuild here, which a one-triple Apply
-  // (Graph::Add, per-statement INSERT) cannot afford on every call.
-  // The fallback scans the base table directly (never Contains/Match:
-  // ApplyDelta calls this holding the delta mutex, and the delta
-  // snapshot inside Match takes that same mutex).
-  auto base_scan = [this, &t]() {
-    bool found = false;
-    ScanBase(t.s, t.p, t.o, [&found](const Triple&) {
-      found = true;
-      return false;
-    });
-    return found;
-  };
-  IdTriple ids;
+Graph::Pin Graph::PinIds(const Triple& t, IdTriple* ids) const {
   const Term* terms[3] = {&t.s, &t.p, &t.o};
-  uint32_t* slots[3] = {&ids.s, &ids.p, &ids.o};
+  uint32_t* slots[3] = {&ids->s, &ids->p, &ids->o};
   for (int i = 0; i < 3; ++i) {
     std::optional<uint32_t> id = dict_.Find(*terms[i]);
     if (id.has_value()) {
       if ((terms[i]->IsNumeric() && dict_.has_numeric_alias()) ||
           terms[i]->IsArray()) {
         // The ID does not speak for the term's whole value class: a
-        // value-equal copy may live under another ID. Filtered scan.
-        return base_scan();
+        // value-equal copy may live under another ID.
+        return Pin::kScan;
       }
       *slots[i] = *id;
+    } else if (terms[i]->IsNumeric() || terms[i]->IsArray()) {
+      // Not interned, but a value-equal representation might be (2 vs
+      // 2.0, identity-interned arrays). Happens at most once per distinct
+      // value — the add that follows interns it.
+      return Pin::kScan;
     } else {
-      if (terms[i]->IsNumeric() || terms[i]->IsArray()) {
-        // Not interned, but a value-equal representation might be (2 vs
-        // 2.0, identity-interned arrays). Happens at most once per
-        // distinct value — the add that follows interns it.
-        return base_scan();
-      }
-      return false;  // exact-identity kind, never interned: absent
+      return Pin::kAbsent;  // exact-identity kind, never interned
     }
   }
-  return live_set_.count(ids) > 0;
+  return Pin::kExact;
+}
+
+bool Graph::BaseContains(const Triple& t) const {
+  // Answers from the live-row index instead of the permutation indexes —
+  // a stale index cache would force a full rebuild here, which a small
+  // Apply (per-statement INSERT, WAL replay) cannot afford on every call.
+  // The fallback scans the base table directly (never Contains/Match:
+  // ApplyDelta calls this holding the delta mutex, and the delta
+  // snapshot inside Match takes that same mutex).
+  IdTriple ids;
+  switch (PinIds(t, &ids)) {
+    case Pin::kAbsent:
+      return false;
+    case Pin::kExact:
+      return live_rows_.count(ids) > 0;
+    case Pin::kScan:
+      break;
+  }
+  bool found = false;
+  ScanBase(t.s, t.p, t.o, [&found](const Triple&) {
+    found = true;
+    return false;
+  });
+  return found;
 }
 
 bool Graph::SnapshotDelta(uint64_t snapshot, const Term& s, const Term& p,

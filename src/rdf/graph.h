@@ -83,7 +83,7 @@ class Graph {
 
   /// Applies a batch of mutations atomically with respect to readers: no
   /// Match/ForEach ever observes a proper prefix of the batch. The only
-  /// mutation entry point — Add/Remove are shims over one-element batches.
+  /// mutation entry point: callers build one batch per logical operation.
   ///
   /// RDF graphs are sets of triples: an Add whose triple is already live
   /// (or was added earlier in the same batch) is skipped — it mutates
@@ -99,25 +99,6 @@ class Graph {
   /// scoped to this call, so concurrent writers can each bring their own
   /// without racing on SetListener.
   ApplyResult Apply(WriteBatch&& batch, GraphListener* observer = nullptr);
-
-  /// Deprecated shim: one-element batch insert. Prefer building a
-  /// WriteBatch and calling Apply once per logical statement.
-  void Add(Triple t) {
-    WriteBatch b;
-    b.Add(std::move(t));
-    Apply(std::move(b));
-  }
-  void Add(Term s, Term p, Term o) {
-    Add(Triple{std::move(s), std::move(p), std::move(o)});
-  }
-
-  /// Deprecated shim: one-element batch removing all triples equal to
-  /// `t`; returns how many were removed.
-  size_t Remove(const Triple& t) {
-    WriteBatch b;
-    b.RemoveAll(t);
-    return static_cast<size_t>(Apply(std::move(b)).removed);
-  }
 
   /// Number of live triples (base plus unfolded delta).
   size_t size() const {
@@ -327,13 +308,19 @@ class Graph {
   /// Copies of `t` (value equality) live in the base table.
   size_t BaseMultiplicity(const Triple& t) const;
 
+  /// How the dictionary pins a triple's terms (same rules as ScanBase's
+  /// constant resolution): to one exact ID tuple, to nothing (some
+  /// exact-identity term was never interned, so no base copy exists), or
+  /// not reliably (aliasing-prone or not-yet-interned numeric/array
+  /// terms), which calls for a filtered table scan.
+  enum class Pin { kExact, kAbsent, kScan };
+  Pin PinIds(const Triple& t, IdTriple* ids) const;
+
   /// Whether a copy of `t` (value equality) is live in the base table.
-  /// O(1) via the live-row hash set when the dictionary pins all three
-  /// terms exactly (same rules as ScanBase's constant resolution); falls
-  /// back to a filtered table scan — never an index rebuild — for
-  /// aliasing-prone or not-yet-interned numeric/array terms. This is
-  /// what keeps Apply's set-semantics precheck cheap for the
-  /// one-triple-per-batch paths (Graph::Add, per-statement INSERT).
+  /// O(1) via the live-row index when the triple pins exactly; falls back
+  /// to a filtered table scan — never an index rebuild — otherwise. This
+  /// is what keeps Apply's set-semantics precheck cheap for small batches
+  /// (per-statement INSERT, WAL replay).
   bool BaseContains(const Triple& t) const;
 
   /// Resolves every delta cell matching the pattern at `snapshot` into
@@ -368,11 +355,12 @@ class Graph {
 
   TermDictionary dict_;
   std::vector<IdTriple> id_triples_;  // parallel to triples_/dead_
-  /// ID tuples of the *live* base rows — the O(1) presence probe behind
-  /// BaseContains. Maintained wherever base rows flip liveness (AddBase,
-  /// RemoveBase, fold tombstones/appends, Clear); compaction rebuilds it
-  /// through Clear + AddBase like every other row structure.
-  std::unordered_set<IdTriple, IdTripleHash> live_set_;
+  /// ID tuple -> table row of every *live* base row: the O(1) presence
+  /// probe behind BaseContains and the row lookup behind RemoveBase.
+  /// Maintained wherever base rows flip liveness (AddBase, RemoveBase,
+  /// fold tombstones/appends, Clear); compaction rebuilds it through
+  /// Clear + AddBase like every other row structure.
+  std::unordered_map<IdTriple, uint32_t, IdTripleHash> live_rows_;
   /// Bumps on *every* base-table rewrite — base-mode mutations, delta
   /// folds and compaction alike (the latter two renumber dictionary IDs
   /// even though version() stands still), so the ID-index cache can

@@ -129,9 +129,8 @@ Result<std::string> WalShipper::HandleFetch(const std::string& request) {
 
 Result<std::string> WalShipper::HandleSnapshot(
     sched::QueryScheduler* sched) {
-  // The engine renders the export itself (REPL SNAPSHOT classifies as a
-  // read), so the cut is consistent under whatever lock the scheduler
-  // grants — concurrent updates serialize around it.
+  // The engine renders the export itself under the exclusive lock the
+  // scheduler grants REPL SNAPSHOT, so its content and LSN agree.
   QueryRequest req;
   req.text = "REPL SNAPSHOT";
   Result<QueryOutcome> out =

@@ -118,23 +118,22 @@ Result<ReplBatchReply> DecodeBatchReply(const std::string& payload) {
 }
 
 std::string EncodeSnapshotBody(
-    const std::vector<std::pair<std::string, std::string>>& sections,
-    uint64_t lsn, uint64_t term) {
+    const std::vector<storage::SnapshotSection>& sections, uint64_t lsn,
+    uint64_t term) {
   std::string out;
   PutU64(&out, lsn);
   PutU32(&out, static_cast<uint32_t>(sections.size()));
-  for (const auto& [iri, turtle] : sections) {
-    PutString(&out, iri);
-    PutString(&out, turtle);
+  for (const storage::SnapshotSection& sec : sections) {
+    PutString(&out, sec.graph_iri);
+    PutString(&out, sec.body);
   }
   PutU64(&out, term);
   return out;
 }
 
-Status DecodeSnapshotBody(
-    const std::string& body,
-    std::vector<std::pair<std::string, std::string>>* sections,
-    uint64_t* lsn, uint64_t* term) {
+Status DecodeSnapshotBody(const std::string& body,
+                          std::vector<storage::SnapshotSection>* sections,
+                          uint64_t* lsn, uint64_t* term) {
   *term = 0;
   size_t pos = 0;
   uint32_t n = 0;
@@ -143,11 +142,12 @@ Status DecodeSnapshotBody(
   }
   sections->clear();
   for (uint32_t i = 0; i < n; ++i) {
-    std::string iri, turtle;
-    if (!GetString(body, &pos, &iri) || !GetString(body, &pos, &turtle)) {
+    storage::SnapshotSection sec;
+    if (!GetString(body, &pos, &sec.graph_iri) ||
+        !GetString(body, &pos, &sec.body)) {
       return Status::IoError("malformed repl snapshot section");
     }
-    sections->emplace_back(std::move(iri), std::move(turtle));
+    sections->push_back(std::move(sec));
   }
   // Pre-failover snapshot bodies end here; newer ones append the term.
   if (pos < body.size() && !GetU64(body, &pos, term)) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/snapshot.h"
 
 namespace scisparql {
 namespace client {
@@ -50,10 +51,11 @@ namespace repl {
 /// The snapshot body is also the payload of the engine's `REPL SNAPSHOT`
 /// Info outcome (the shipper wraps it in the 'T' envelope):
 ///
-///   [u64 lsn][u32 n]([string graph_iri][string turtle])*[u64 term]
+///   [u64 lsn][u32 n]([string graph_iri][string body])*[u64 term]
 ///
-/// ("" = default graph; the trailing term is absent in pre-failover
-/// snapshots and decodes as 0.)
+/// ("" = default graph; each section body is the checkpoint's
+/// dictionary-encoded section, storage/dict_section.h; the trailing term
+/// is absent in pre-failover snapshots and decodes as 0.)
 
 constexpr char kReplMarker = '\x02';
 
@@ -94,7 +96,7 @@ struct ReplBatchReply {
 struct ReplSnapshotReply {
   uint64_t lsn = 0;
   uint64_t term = 0;
-  std::vector<std::pair<std::string, std::string>> sections;
+  std::vector<storage::SnapshotSection> sections;
 };
 
 std::string EncodeProbeRequest();
@@ -111,12 +113,11 @@ Result<ReplBatchReply> DecodeBatchReply(const std::string& payload);
 /// engine's REPL SNAPSHOT statement, consumed by
 /// SSDM::BootstrapFromReplication.
 std::string EncodeSnapshotBody(
-    const std::vector<std::pair<std::string, std::string>>& sections,
-    uint64_t lsn, uint64_t term);
-Status DecodeSnapshotBody(
-    const std::string& body,
-    std::vector<std::pair<std::string, std::string>>* sections,
-    uint64_t* lsn, uint64_t* term);
+    const std::vector<storage::SnapshotSection>& sections, uint64_t lsn,
+    uint64_t term);
+Status DecodeSnapshotBody(const std::string& body,
+                          std::vector<storage::SnapshotSection>* sections,
+                          uint64_t* lsn, uint64_t* term);
 
 std::string EncodeSnapshotReply(const ReplSnapshotReply& reply);
 Result<ReplSnapshotReply> DecodeSnapshotReply(const std::string& payload);

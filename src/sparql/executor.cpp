@@ -1597,12 +1597,14 @@ class ExecImpl {
     // FROM <g>: query the merge of the named graphs instead of the default.
     Graph merged;
     if (!q.from.empty()) {
+      WriteBatch batch;
       for (const std::string& iri : q.from) {
         const Graph* g = dataset_->FindNamed(iri);
         if (g != nullptr) {
-          g->ForEach([&merged](const Triple& t) { merged.Add(t); });
+          g->ForEach([&batch](const Triple& t) { batch.Add(t); });
         }
       }
+      merged.Apply(std::move(batch));
       graph = &merged;
     }
     State st{graph, std::move(initial)};
@@ -1869,7 +1871,7 @@ class ExecImpl {
   Result<Graph> Construct(const SelectQuery& q) {
     SCISPARQL_ASSIGN_OR_RETURN(std::vector<Binding> solutions,
                                CollectSolutions(q, Binding()));
-    Graph out;
+    WriteBatch batch;
     int blank_round = 0;
     for (const Binding& sol : solutions) {
       ++blank_round;
@@ -1910,8 +1912,10 @@ class ExecImpl {
         staged.push_back(std::move(t));
       }
       if (!ok) continue;
-      for (Triple& t : staged) out.Add(std::move(t));
+      for (Triple& t : staged) batch.Add(std::move(t));
     }
+    Graph out;
+    out.Apply(std::move(batch));
     return out;
   }
 
@@ -1945,7 +1949,7 @@ class ExecImpl {
     // Concise bounded description: all triples with the target as subject,
     // expanding blank-node objects transitively.
     const Graph& g = dataset_->default_graph();
-    Graph out;
+    WriteBatch batch;
     std::unordered_set<Term, TermHash> visited;
     std::vector<Term> frontier = targets;
     while (!frontier.empty()) {
@@ -1953,10 +1957,12 @@ class ExecImpl {
       frontier.pop_back();
       if (!visited.insert(node).second) continue;
       for (const Triple& t : g.MatchAll(node, Term(), Term())) {
-        out.Add(t);
+        batch.Add(t);
         if (t.o.IsBlank()) frontier.push_back(t.o);
       }
     }
+    Graph out;
+    out.Apply(std::move(batch));
     return out;
   }
 
@@ -2165,6 +2171,7 @@ class ExecImpl {
                          Graph* blank_namer = nullptr) {
     Graph* namer = blank_namer != nullptr ? blank_namer : target;
     std::map<std::string, Term> blank_map;
+    WriteBatch batch;
     for (const TriplePattern& tp : tmpl) {
       auto instantiate = [&](const VarOrTerm& vt) -> Result<Term> {
         if (vt.is_var) {
@@ -2202,8 +2209,9 @@ class ExecImpl {
       SCISPARQL_ASSIGN_OR_RETURN(Term s, instantiate(tp.s));
       SCISPARQL_ASSIGN_OR_RETURN(Term p, instantiate(tp.p));
       SCISPARQL_ASSIGN_OR_RETURN(Term o, instantiate(tp.o));
-      target->Add(std::move(s), std::move(p), std::move(o));
+      batch.Add(std::move(s), std::move(p), std::move(o));
     }
+    target->Apply(std::move(batch));
     return Status::OK();
   }
 

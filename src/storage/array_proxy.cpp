@@ -40,6 +40,7 @@ Result<double> ArrayProxy::ElementAsDouble(
   int64_t addr = AddressOf(idx);
   int64_t chunk = addr / meta_.chunk_elems;
   int64_t within = addr % meta_.chunk_elems;
+  std::lock_guard<std::mutex> lock(cache_mu_);
   if (chunk != cached_chunk_) {
     cached_bytes_.clear();
     uint64_t cid = static_cast<uint64_t>(chunk);

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "storage/asei.h"
@@ -76,7 +77,10 @@ class ArrayProxy : public ArrayValue {
   int64_t offset_ = 0;
   std::vector<int64_t> shape_;
   std::vector<int64_t> strides_;
-  // One-chunk cache for repeated scalar element accesses.
+  // One-chunk cache for repeated scalar element accesses. The scheduler
+  // runs reads in parallel and a proxy term is shared by every query that
+  // binds it, so the cache is guarded.
+  mutable std::mutex cache_mu_;
   mutable int64_t cached_chunk_ = -1;
   mutable std::vector<uint8_t> cached_bytes_;
 };

@@ -13,43 +13,25 @@ namespace {
 constexpr char kMagic[5] = {'\0', 'S', 'S', 'D', 'S'};
 constexpr uint32_t kFormat = 1;
 
-/// Term framing inside the section, mirroring the WAL's: inline bytes or
-/// an array-storage back-end reference.
+/// Term framing inside the section: every term is inline bytes.
+/// Snapshots must be self-contained (loadable with no array storage
+/// attached), so arrays — including proxies — are always materialized;
+/// SerializeTerm fetches proxy-backed data.
 constexpr uint8_t kTermInline = 0;
-constexpr uint8_t kTermProxyRef = 1;
 
-// Snapshots must be self-contained (loadable with no array storage
-// attached), so arrays — including proxies — are always materialized
-// inline; SerializeTerm fetches proxy-backed data. The proxy-ref tag is
-// still understood on decode for forward compatibility.
 Status PutTerm(const Term& term, std::string* out) {
   out->push_back(static_cast<char>(kTermInline));
   return rdf::SerializeTerm(term, out);
 }
 
-Result<Term> GetTerm(
-    const std::string& data, size_t* pos,
-    const std::function<Result<Term>(const std::string&, uint64_t)>&
-        resolve_ref) {
+Result<Term> GetTerm(const std::string& data, size_t* pos) {
   if (*pos >= data.size()) {
     return Status::Internal("truncated dictionary-section term");
   }
-  uint8_t tag = static_cast<uint8_t>(data[(*pos)++]);
-  if (tag == kTermInline) return rdf::DeserializeTerm(data, pos);
-  if (tag == kTermProxyRef) {
-    std::string storage_name;
-    uint64_t id;
-    if (!rdf::GetString(data, pos, &storage_name) ||
-        !rdf::GetU64(data, pos, &id)) {
-      return Status::Internal("truncated dictionary-section array ref");
-    }
-    if (!resolve_ref) {
-      return Status::IoError("snapshot references array storage '" +
-                             storage_name + "' but no resolver is attached");
-    }
-    return resolve_ref(storage_name, id);
+  if (static_cast<uint8_t>(data[(*pos)++]) != kTermInline) {
+    return Status::Internal("unknown dictionary-section term tag");
   }
-  return Status::Internal("unknown dictionary-section term tag");
+  return rdf::DeserializeTerm(data, pos);
 }
 
 }  // namespace
@@ -92,11 +74,7 @@ Result<std::string> EncodeDictSection(const Graph& g) {
   return out;
 }
 
-Status DecodeDictSection(
-    const std::string& body,
-    const std::function<Result<Term>(const std::string&, uint64_t)>&
-        resolve_ref,
-    Graph* g) {
+Status DecodeDictSection(const std::string& body, Graph* g) {
   if (!IsDictSection(body)) {
     return Status::Internal("not a dictionary section");
   }
@@ -111,13 +89,14 @@ Status DecodeDictSection(
   std::vector<Term> terms;
   terms.reserve(n_terms);
   for (uint32_t i = 0; i < n_terms; ++i) {
-    SCISPARQL_ASSIGN_OR_RETURN(Term t, GetTerm(body, &pos, resolve_ref));
+    SCISPARQL_ASSIGN_OR_RETURN(Term t, GetTerm(body, &pos));
     terms.push_back(std::move(t));
   }
   uint32_t n_triples;
   if (!rdf::GetU32(body, &pos, &n_triples)) {
     return Status::Internal("truncated dictionary-section triple count");
   }
+  WriteBatch batch;
   for (uint32_t i = 0; i < n_triples; ++i) {
     uint32_t s, p, o;
     if (!rdf::GetU32(body, &pos, &s) || !rdf::GetU32(body, &pos, &p) ||
@@ -127,8 +106,9 @@ Status DecodeDictSection(
     if (s >= terms.size() || p >= terms.size() || o >= terms.size()) {
       return Status::Internal("dictionary-section index out of range");
     }
-    g->Add(terms[s], terms[p], terms[o]);
+    batch.Add(terms[s], terms[p], terms[o]);
   }
+  g->Apply(std::move(batch));
   return Status::OK();
 }
 

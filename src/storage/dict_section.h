@@ -2,7 +2,6 @@
 #define SCISPARQL_STORAGE_DICT_SECTION_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/status.h"
@@ -11,27 +10,20 @@
 namespace scisparql {
 namespace storage {
 
-/// Dictionary-encoded snapshot section: the graph's distinct terms are
-/// written once (inline bytes, or (storage, id) references for stored
-/// arrays — which the Turtle writer used to materialize in full), followed
-/// by the triples as fixed-width index tuples. The section body starts
-/// with a NUL magic byte, which no Turtle document can, so loaders route
-/// on the first byte and fall back to Turtle for legacy snapshots.
+/// Dictionary-encoded snapshot section — the one snapshot body format,
+/// shared by checkpoints and replica bootstrap: the graph's distinct terms
+/// are written once (arrays, proxies included, materialized inline so a
+/// section loads with no array storage attached), followed by the triples
+/// as fixed-width index tuples. The body starts with a NUL magic byte.
 
-/// True when `body` is a dictionary-encoded section (vs. Turtle).
+/// True when `body` is a dictionary-encoded section.
 bool IsDictSection(const std::string& body);
 
 /// Serializes the graph's live triples as a dictionary section.
 Result<std::string> EncodeDictSection(const Graph& g);
 
-/// Decodes a dictionary section into `g` (one Add per triple).
-/// `resolve_ref` materializes (storage, id) array references; may be null
-/// when the section contains none.
-Status DecodeDictSection(
-    const std::string& body,
-    const std::function<Result<Term>(const std::string&, uint64_t)>&
-        resolve_ref,
-    Graph* g);
+/// Decodes a dictionary section into `g` as one WriteBatch.
+Status DecodeDictSection(const std::string& body, Graph* g);
 
 }  // namespace storage
 }  // namespace scisparql

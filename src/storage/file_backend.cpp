@@ -36,6 +36,7 @@ std::string FileArrayStorage::PathFor(ArrayId id) const {
 
 Result<ArrayId> FileArrayStorage::Store(const NumericArray& array,
                                         int64_t chunk_elems) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   NumericArray compact = array.Compact();
   ArrayId id = next_id_++;
   SCISPARQL_ASSIGN_OR_RETURN(
@@ -112,6 +113,7 @@ Result<StoredArrayMeta> FileArrayStorage::ReadHeader(ArrayId id) const {
 }
 
 Result<StoredArrayMeta> FileArrayStorage::GetMeta(ArrayId id) const {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = meta_cache_.find(id);
   if (it != meta_cache_.end()) return it->second;
   SCISPARQL_ASSIGN_OR_RETURN(StoredArrayMeta meta, ReadHeader(id));
@@ -122,6 +124,7 @@ Result<StoredArrayMeta> FileArrayStorage::GetMeta(ArrayId id) const {
 Status FileArrayStorage::FetchChunks(
     ArrayId id, std::span<const uint64_t> chunk_ids,
     const std::function<void(uint64_t, const uint8_t*, size_t)>& cb) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   SCISPARQL_ASSIGN_OR_RETURN(StoredArrayMeta meta, GetMeta(id));
   auto f = vfs_->Open(PathFor(id), storage::Vfs::OpenMode::kRead);
   if (!f.ok()) return Status::NotFound("no array file: " + PathFor(id));
@@ -150,6 +153,7 @@ Status FileArrayStorage::FetchChunks(
 Status FileArrayStorage::FetchIntervals(
     ArrayId id, std::span<const relstore::Interval> intervals,
     const std::function<void(uint64_t, const uint8_t*, size_t)>& cb) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   // Files are sequential devices: an interval becomes one seek plus one
   // sequential read spanning [start, last]; chunks not in the stride are
   // read but dropped (still cheaper than a seek per chunk).
@@ -192,6 +196,7 @@ Status FileArrayStorage::FetchIntervals(
 }
 
 Result<double> FileArrayStorage::AggregateWhole(ArrayId id, AggOp op) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   // "Server-side" aggregate: stream the file once without materializing a
   // resident array in the engine.
   SCISPARQL_ASSIGN_OR_RETURN(StoredArrayMeta meta, GetMeta(id));
@@ -243,6 +248,7 @@ Result<double> FileArrayStorage::AggregateWhole(ArrayId id, AggOp op) {
 }
 
 Status FileArrayStorage::Remove(ArrayId id) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   std::string path = PathFor(id);
   meta_cache_.erase(id);
   linked_.erase(id);
@@ -252,6 +258,7 @@ Status FileArrayStorage::Remove(ArrayId id) {
 }
 
 Result<ArrayId> FileArrayStorage::LinkExisting(const std::string& path) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   ArrayId id = next_id_++;
   linked_[id] = path;
   // Validate eagerly so a broken link fails at link time, not query time.

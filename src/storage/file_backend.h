@@ -2,6 +2,7 @@
 #define SCISPARQL_STORAGE_FILE_BACKEND_H_
 
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "storage/asei.h"
@@ -55,6 +56,11 @@ class FileArrayStorage : public ArrayStorage {
   std::map<ArrayId, std::string> linked_;  // id -> explicit path
   mutable std::map<ArrayId, StoredArrayMeta> meta_cache_;
   uint64_t seeks_ = 0;
+  /// Serializes every entry point: the scheduler runs array reads in
+  /// parallel. Fetch callbacks run under it, since the chunk bytes they
+  /// receive point into buffers it guards. Recursive because fetches and
+  /// aggregates reuse GetMeta and FetchIntervals.
+  mutable std::recursive_mutex mu_;
 };
 
 }  // namespace scisparql

@@ -133,6 +133,7 @@ Status KvArrayStorage::LoadIndex() {
 }
 
 Status KvArrayStorage::Put(const std::string& key, const std::string& value) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   std::string frame;
   frame.reserve(12 + key.size() + value.size());
   uint32_t key_len = static_cast<uint32_t>(key.size());
@@ -156,6 +157,7 @@ Status KvArrayStorage::Put(const std::string& key, const std::string& value) {
 }
 
 Result<std::string> KvArrayStorage::Get(const std::string& key) const {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) return Status::NotFound("no kv key: " + key);
   std::string out(it->second.length, '\0');
@@ -167,6 +169,7 @@ Result<std::string> KvArrayStorage::Get(const std::string& key) const {
 
 Result<ArrayId> KvArrayStorage::Store(const NumericArray& array,
                                       int64_t chunk_elems) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   NumericArray compact = array.Compact();
   ArrayId id = next_id_++;
   StoredArrayMeta meta;
@@ -199,6 +202,7 @@ Result<ArrayId> KvArrayStorage::Store(const NumericArray& array,
 }
 
 Result<StoredArrayMeta> KvArrayStorage::GetMeta(ArrayId id) const {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto bytes = Get(MetaKey(id));
   if (!bytes.ok()) {
     return Status::NotFound("no stored array " + std::to_string(id));
@@ -209,6 +213,7 @@ Result<StoredArrayMeta> KvArrayStorage::GetMeta(ArrayId id) const {
 Status KvArrayStorage::FetchChunks(
     ArrayId id, std::span<const uint64_t> chunk_ids,
     const std::function<void(uint64_t, const uint8_t*, size_t)>& cb) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   // One point get per chunk — all the store's API offers.
   for (uint64_t c : chunk_ids) {
     ++stats_.queries;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "storage/asei.h"
@@ -83,6 +84,11 @@ class KvArrayStorage : public ArrayStorage {
   ArrayId next_id_ = 1;
   bool truncated_tail_ = false;
   uint64_t rejected_records_ = 0;
+  /// Serializes every entry point: the scheduler runs array reads in
+  /// parallel. Fetch callbacks run under it, since the chunk bytes they
+  /// receive point into buffers it guards. Recursive because storing and
+  /// fetching go through Put/Get.
+  mutable std::recursive_mutex mu_;
 };
 
 }  // namespace scisparql

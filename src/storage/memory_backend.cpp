@@ -6,6 +6,7 @@ namespace scisparql {
 
 Result<ArrayId> MemoryArrayStorage::Store(const NumericArray& array,
                                           int64_t chunk_elems) {
+  std::lock_guard<std::mutex> lock(mu_);
   Entry e;
   e.array = array.Compact();
   e.meta.id = next_id_++;
@@ -27,6 +28,7 @@ Result<const MemoryArrayStorage::Entry*> MemoryArrayStorage::Find(
 }
 
 Result<StoredArrayMeta> MemoryArrayStorage::GetMeta(ArrayId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
   SCISPARQL_ASSIGN_OR_RETURN(const Entry* e, Find(id));
   return e->meta;
 }
@@ -34,6 +36,7 @@ Result<StoredArrayMeta> MemoryArrayStorage::GetMeta(ArrayId id) const {
 Status MemoryArrayStorage::FetchChunks(
     ArrayId id, std::span<const uint64_t> chunk_ids,
     const std::function<void(uint64_t, const uint8_t*, size_t)>& cb) {
+  std::lock_guard<std::mutex> lock(mu_);
   SCISPARQL_ASSIGN_OR_RETURN(const Entry* e, Find(id));
   const int64_t total = e->meta.NumElements();
   const int64_t ce = e->meta.chunk_elems;
@@ -66,12 +69,14 @@ Status MemoryArrayStorage::FetchChunks(
 }
 
 Result<double> MemoryArrayStorage::AggregateWhole(ArrayId id, AggOp op) {
+  std::lock_guard<std::mutex> lock(mu_);
   SCISPARQL_ASSIGN_OR_RETURN(const Entry* e, Find(id));
   ++stats_.queries;
   return ResidentArray(e->array).Aggregate(op);
 }
 
 Status MemoryArrayStorage::Remove(ArrayId id) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (arrays_.erase(id) == 0) {
     return Status::NotFound("no array with id " + std::to_string(id));
   }

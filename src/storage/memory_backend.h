@@ -2,6 +2,7 @@
 #define SCISPARQL_STORAGE_MEMORY_BACKEND_H_
 
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "storage/asei.h"
@@ -38,6 +39,10 @@ class MemoryArrayStorage : public ArrayStorage {
 
   std::map<ArrayId, Entry> arrays_;
   ArrayId next_id_ = 1;
+  /// Serializes every entry point: the scheduler runs array reads in
+  /// parallel. Fetch callbacks run under it, since the chunk bytes they
+  /// receive point into buffers it guards.
+  mutable std::mutex mu_;
 };
 
 }  // namespace scisparql

@@ -142,6 +142,7 @@ Status RdfRelationalStore::SaveGraph(const Graph& graph) {
 Status RdfRelationalStore::LoadGraph(Graph* graph,
                                      const AprConfig& apr) const {
   Status status = Status::OK();
+  WriteBatch batch;
   auto decode_sp = [](const relstore::Row& row, Term* s,
                       Term* p) -> Status {
     SCISPARQL_ASSIGN_OR_RETURN(*s, DecodeResource(relstore::AsBytes(row[0])));
@@ -159,7 +160,7 @@ Status RdfRelationalStore::LoadGraph(Graph* graph,
           status = o.status();
           return false;
         }
-        graph->Add(std::move(s), std::move(p), std::move(*o));
+        batch.Add(std::move(s), std::move(p), std::move(*o));
         return true;
       }));
   SCISPARQL_RETURN_NOT_OK(status);
@@ -171,9 +172,9 @@ Status RdfRelationalStore::LoadGraph(Graph* graph,
         if (!status.ok()) return false;
         double v = relstore::AsDoubleValue(row[2]);
         bool is_int = relstore::AsInt(row[3]) != 0;
-        graph->Add(std::move(s), std::move(p),
-                   is_int ? Term::Integer(static_cast<int64_t>(v))
-                          : Term::Double(v));
+        batch.Add(std::move(s), std::move(p),
+                  is_int ? Term::Integer(static_cast<int64_t>(v))
+                         : Term::Double(v));
         return true;
       }));
   SCISPARQL_RETURN_NOT_OK(status);
@@ -198,7 +199,7 @@ Status RdfRelationalStore::LoadGraph(Graph* graph,
             o = extra.empty() ? Term::String(lex)
                               : Term::LangString(lex, extra);
         }
-        graph->Add(std::move(s), std::move(p), std::move(o));
+        batch.Add(std::move(s), std::move(p), std::move(o));
         return true;
       }));
   SCISPARQL_RETURN_NOT_OK(status);
@@ -214,10 +215,12 @@ Status RdfRelationalStore::LoadGraph(Graph* graph,
           status = proxy.status();
           return false;
         }
-        graph->Add(std::move(s), std::move(p), Term::Array(*proxy));
+        batch.Add(std::move(s), std::move(p), Term::Array(*proxy));
         return true;
       }));
-  return status;
+  SCISPARQL_RETURN_NOT_OK(status);
+  graph->Apply(std::move(batch));
+  return Status::OK();
 }
 
 Result<RdfRelationalStore::PartitionCounts>

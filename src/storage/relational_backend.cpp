@@ -57,6 +57,7 @@ Result<std::unique_ptr<RelationalArrayStorage>> RelationalArrayStorage::Attach(
 
 Result<ArrayId> RelationalArrayStorage::Store(const NumericArray& array,
                                               int64_t chunk_elems) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   NumericArray compact = array.Compact();
   ArrayId id = next_id_++;
   relstore::Row meta_row = {
@@ -99,6 +100,7 @@ Result<ArrayId> RelationalArrayStorage::Store(const NumericArray& array,
 }
 
 Result<StoredArrayMeta> RelationalArrayStorage::GetMeta(ArrayId id) const {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = meta_cache_.find(id);
   if (it != meta_cache_.end()) return it->second;
   StoredArrayMeta meta;
@@ -124,6 +126,7 @@ Result<StoredArrayMeta> RelationalArrayStorage::GetMeta(ArrayId id) const {
 Status RelationalArrayStorage::FetchChunks(
     ArrayId id, std::span<const uint64_t> chunk_ids,
     const std::function<void(uint64_t, const uint8_t*, size_t)>& cb) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   std::vector<uint64_t> keys;
   keys.reserve(chunk_ids.size());
   for (uint64_t c : chunk_ids) keys.push_back(ChunkKey(id, c));
@@ -146,6 +149,7 @@ Status RelationalArrayStorage::FetchChunks(
 Status RelationalArrayStorage::FetchIntervals(
     ArrayId id, std::span<const relstore::Interval> intervals,
     const std::function<void(uint64_t, const uint8_t*, size_t)>& cb) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   // Rebase chunk-id intervals onto the composite key space; the layout
   // key = id<<32 | chunk preserves arithmetic progressions.
   std::vector<relstore::Interval> keyspace;
@@ -171,6 +175,7 @@ Status RelationalArrayStorage::FetchIntervals(
 }
 
 Result<double> RelationalArrayStorage::AggregateWhole(ArrayId id, AggOp op) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   // The aggregate runs inside the "server": a single range query streams
   // the chunks without handing them to the client-side APR machinery.
   SCISPARQL_ASSIGN_OR_RETURN(StoredArrayMeta meta, GetMeta(id));
@@ -220,6 +225,7 @@ Result<double> RelationalArrayStorage::AggregateWhole(ArrayId id, AggOp op) {
 }
 
 Status RelationalArrayStorage::Remove(ArrayId id) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   SCISPARQL_ASSIGN_OR_RETURN(StoredArrayMeta meta, GetMeta(id));
   SCISPARQL_ASSIGN_OR_RETURN(size_t n, db_->DeleteByKey(kArraysTable, id));
   if (n == 0) return Status::NotFound("no stored array");

@@ -2,6 +2,7 @@
 #define SCISPARQL_STORAGE_RELATIONAL_BACKEND_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "relstore/database.h"
@@ -65,6 +66,11 @@ class RelationalArrayStorage : public ArrayStorage {
   relstore::SelectStats last_stats_;
   ArrayId next_id_ = 1;
   mutable std::map<ArrayId, StoredArrayMeta> meta_cache_;
+  /// Serializes every entry point: the scheduler runs array reads in
+  /// parallel. Fetch callbacks run under it, since the chunk bytes they
+  /// receive point into buffers it guards. Recursive because composite
+  /// operations (aggregates, removal) reuse the other entry points.
+  mutable std::recursive_mutex mu_;
 };
 
 }  // namespace scisparql

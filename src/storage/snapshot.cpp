@@ -68,10 +68,10 @@ Status WriteSnapshot(Vfs* vfs, const std::string& path,
     blob.push_back(static_cast<char>(kSectionTag));
     rdf::PutU32(&blob, static_cast<uint32_t>(sec.graph_iri.size()));
     blob.append(sec.graph_iri);
-    rdf::PutU64(&blob, sec.turtle.size());
-    blob.append(sec.turtle);
+    rdf::PutU64(&blob, sec.body.size());
+    blob.append(sec.body);
     uint32_t crc = Crc32c(sec.graph_iri);
-    crc = Crc32cExtend(crc, sec.turtle.data(), sec.turtle.size());
+    crc = Crc32cExtend(crc, sec.body.data(), sec.body.size());
     rdf::PutU32(&blob, Crc32cMask(crc));
   }
   std::string payload = EncodeFooterPayload(footer);
@@ -101,7 +101,7 @@ Result<SnapshotContents> ReadSnapshot(Vfs* vfs, const std::string& path) {
   size_t pos = 0;
   uint32_t format;
   if (data.size() < 8 || std::memcmp(data.data(), kMagic, 4) != 0) {
-    return Status::IoError("bad snapshot magic: " + path);
+    return Status::IoError("not an SSNP snapshot (bad magic): " + path);
   }
   pos = 4;
   if (!rdf::GetU32(data, &pos, &format) || format != kFormat) {
@@ -124,13 +124,13 @@ Result<SnapshotContents> ReadSnapshot(Vfs* vfs, const std::string& path) {
       if (!rdf::GetU64(data, &pos, &body_len) || pos + body_len > data.size()) {
         return Status::IoError("snapshot section truncated: " + path);
       }
-      sec.turtle.assign(data, pos, body_len);
+      sec.body.assign(data, pos, body_len);
       pos += body_len;
       if (!rdf::GetU32(data, &pos, &stored_crc)) {
         return Status::IoError("snapshot section truncated: " + path);
       }
       uint32_t crc = Crc32c(sec.graph_iri);
-      crc = Crc32cExtend(crc, sec.turtle.data(), sec.turtle.size());
+      crc = Crc32cExtend(crc, sec.body.data(), sec.body.size());
       if (Crc32cUnmask(stored_crc) != crc) {
         return Status::IoError("snapshot section checksum mismatch: " + path +
                                " (graph '" + sec.graph_iri + "')");
@@ -162,14 +162,6 @@ Result<SnapshotContents> ReadSnapshot(Vfs* vfs, const std::string& path) {
   // filesystem can still hand it to us.
   if (!saw_footer) return Status::IoError("snapshot missing footer: " + path);
   return out;
-}
-
-bool IsSnapshotFile(Vfs* vfs, const std::string& path) {
-  auto f = vfs->Open(path, Vfs::OpenMode::kRead);
-  if (!f.ok()) return false;
-  char magic[4];
-  auto got = (*f)->ReadAt(0, magic, 4);
-  return got.ok() && *got == 4 && std::memcmp(magic, kMagic, 4) == 0;
 }
 
 std::string SnapshotFileName(uint64_t seq) {

@@ -13,12 +13,12 @@
 namespace scisparql {
 namespace storage {
 
-/// One graph's worth of snapshot data. The body is the engine's Turtle
-/// serialization — human-readable on its own, but wrapped here in a binary
-/// envelope that adds per-section CRCs and a footer.
+/// One graph's worth of snapshot data. The body is the graph's
+/// dictionary-encoded section (storage/dict_section.h); this envelope adds
+/// per-section CRCs and a footer.
 struct SnapshotSection {
   std::string graph_iri;  ///< "" = default graph.
-  std::string turtle;
+  std::string body;
 };
 
 struct SnapshotGraphInfo {
@@ -60,10 +60,6 @@ Status WriteSnapshot(Vfs* vfs, const std::string& path,
 /// or truncation is an IoError (the caller falls back to an older snapshot
 /// and longer WAL replay).
 Result<SnapshotContents> ReadSnapshot(Vfs* vfs, const std::string& path);
-
-/// True when `path` exists and starts with the "SSNP" magic — used to
-/// route legacy plain-Turtle snapshots to the old loader.
-bool IsSnapshotFile(Vfs* vfs, const std::string& path);
 
 /// "snap-<seq:016x>.ssnp".
 std::string SnapshotFileName(uint64_t seq);

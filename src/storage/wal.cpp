@@ -93,7 +93,7 @@ struct BatchTermDecoder {
   std::vector<Term> terms;
 };
 
-Status SerializeWalTerm(const Term& term, BatchTermEncoder* enc,
+Status SerializeWalTerm(const Term& term, BatchTermEncoder& enc,
                         std::string* out) {
   std::string one;
   // Proxies log as (storage, id) references — the payload already lives in
@@ -112,14 +112,12 @@ Status SerializeWalTerm(const Term& term, BatchTermEncoder* enc,
     one.push_back(static_cast<char>(kTermInline));
     SCISPARQL_RETURN_NOT_OK(rdf::SerializeTerm(term, &one));
   }
-  if (enc != nullptr) {
-    auto [it, fresh] =
-        enc->ids.emplace(one, static_cast<uint32_t>(enc->ids.size()));
-    if (!fresh) {
-      out->push_back(static_cast<char>(kTermDictRef));
-      rdf::PutU32(out, it->second);
-      return Status::OK();
-    }
+  auto [it, fresh] =
+      enc.ids.emplace(one, static_cast<uint32_t>(enc.ids.size()));
+  if (!fresh) {
+    out->push_back(static_cast<char>(kTermDictRef));
+    rdf::PutU32(out, it->second);
+    return Status::OK();
   }
   out->append(one);
   return Status::OK();
@@ -129,7 +127,7 @@ Result<Term> DeserializeWalTerm(
     const std::string& data, size_t* pos,
     const std::function<Result<Term>(const std::string&, uint64_t)>&
         resolve_ref,
-    BatchTermDecoder* dec) {
+    BatchTermDecoder& dec) {
   if (*pos >= data.size()) return Status::Internal("truncated WAL term");
   uint8_t tag = static_cast<uint8_t>(data[(*pos)++]);
   if (tag == kTermDictRef) {
@@ -137,10 +135,10 @@ Result<Term> DeserializeWalTerm(
     if (!rdf::GetU32(data, pos, &idx)) {
       return Status::Internal("truncated WAL term back-reference");
     }
-    if (dec == nullptr || idx >= dec->terms.size()) {
+    if (idx >= dec.terms.size()) {
       return Status::Internal("WAL term back-reference out of range");
     }
-    return dec->terms[idx];
+    return dec.terms[idx];
   }
   Term term;
   if (tag == kTermInline) {
@@ -160,11 +158,11 @@ Result<Term> DeserializeWalTerm(
   } else {
     return Status::Internal("unknown WAL term tag");
   }
-  if (dec != nullptr) dec->terms.push_back(term);
+  dec.terms.push_back(term);
   return term;
 }
 
-std::string EncodeRecordPayload(const WalRecord& rec, BatchTermEncoder* enc,
+std::string EncodeRecordPayload(const WalRecord& rec, BatchTermEncoder& enc,
                                 Status* status) {
   std::string payload;
   rdf::PutU64(&payload, rec.lsn);
@@ -196,7 +194,7 @@ Result<WalRecord> DecodeRecordPayload(
     const std::string& payload,
     const std::function<Result<Term>(const std::string&, uint64_t)>&
         resolve_ref,
-    BatchTermDecoder* dec) {
+    BatchTermDecoder& dec) {
   WalRecord rec;
   size_t pos = 0;
   if (!rdf::GetU64(payload, &pos, &rec.lsn) || pos >= payload.size()) {
@@ -292,13 +290,13 @@ Status WalWriter::AppendBatch(std::vector<WalRecord>& records,
   uint64_t lsn = next_lsn_.load(std::memory_order_relaxed);
   for (WalRecord& rec : records) {
     rec.lsn = lsn++;
-    FrameRecord(EncodeRecordPayload(rec, &enc, &encode_status), &blob);
+    FrameRecord(EncodeRecordPayload(rec, enc, &encode_status), &blob);
     if (!encode_status.ok()) return encode_status;
   }
   WalRecord commit;
   commit.type = WalRecord::Type::kCommit;
   commit.lsn = lsn++;
-  FrameRecord(EncodeRecordPayload(commit, &enc, &encode_status), &blob);
+  FrameRecord(EncodeRecordPayload(commit, enc, &encode_status), &blob);
   if (!encode_status.ok()) return encode_status;
 
   const uint64_t my_commit = commit.lsn;
@@ -425,7 +423,7 @@ Status ScanFrameStream(
       return Status::OK();
     }
     SCISPARQL_ASSIGN_OR_RETURN(
-        WalRecord rec, DecodeRecordPayload(payload, resolve_ref, &dec));
+        WalRecord rec, DecodeRecordPayload(payload, resolve_ref, dec));
     if (rec.type == WalRecord::Type::kCommit) {
       // Back-references are batch-scoped; the commit marker ends the
       // encoder's scope, so the decoder's mirror resets with it.

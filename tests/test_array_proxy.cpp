@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "storage/array_proxy.h"
 #include "storage/memory_backend.h"
 #include "storage/relational_backend.h"
@@ -210,6 +214,55 @@ TEST(ProxyRelational, WorksOverRelationalBackend) {
   for (int64_t k = 0; k < 20; ++k) {
     EXPECT_DOUBLE_EQ(got.DoubleAt(k), 10 + k * 3);
   }
+}
+
+TEST(ProxyRelational, ConcurrentReadsShareBackendAndProxies) {
+  // The scheduler runs array reads in parallel, and a proxy term is shared
+  // by every query that binds it: four threads read the same proxies,
+  // element by element (the proxy's one-chunk cache) and as materialized
+  // views (APR through a buffer pool far smaller than the data).
+  auto db = *relstore::Database::Open("", /*buffer_pages=*/8);
+  std::shared_ptr<RelationalArrayStorage> storage(
+      std::move(*RelationalArrayStorage::Attach(db.get())));
+  constexpr int kArrays = 6;
+  constexpr int64_t kElems = 2048;
+  std::vector<std::shared_ptr<ArrayProxy>> proxies;
+  for (int a = 0; a < kArrays; ++a) {
+    NumericArray arr = NumericArray::Zeros(ElementType::kDouble, {kElems});
+    for (int64_t i = 0; i < kElems; ++i) arr.SetDoubleAt(i, a * 10000 + i);
+    ArrayId id = *storage->Store(arr, 128);
+    proxies.push_back(*ArrayProxy::Open(storage, id));
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int round = 0; round < 60; ++round) {
+        int a = (t + round) % kArrays;
+        const ArrayProxy& proxy = *proxies[a];
+        int64_t idx[] = {(round * 131 + t * 517) % kElems};
+        Result<double> v = proxy.ElementAsDouble(idx);
+        if (!v.ok() || *v != a * 10000 + idx[0]) ++wrong;
+        int64_t lo = (round * 97 + t * 37) % (kElems - 300);
+        std::vector<Sub> subs = {Sub::Range(lo, 100, 3)};
+        auto view = proxy.Subscript(subs);
+        if (!view.ok()) {
+          ++wrong;
+          continue;
+        }
+        Result<NumericArray> got = (*view)->Materialize();
+        if (!got.ok()) {
+          ++wrong;
+          continue;
+        }
+        for (int64_t k = 0; k < 100; ++k) {
+          if (got->DoubleAt(k) != a * 10000 + lo + 3 * k) ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

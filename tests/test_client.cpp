@@ -123,9 +123,10 @@ TEST(Session, FileBackendWorkflowSurvivesEngineRestart) {
     ArrayId id = *storage->LinkExisting(dir + "/arr_1.ssa");
     db.AttachStorage(storage);
     Term t = *db.OpenStoredArray("file", id);
-    db.dataset().default_graph().Add(Term::Iri("http://example.org/exp"),
-                                     Term::Iri("http://example.org/linked"),
-                                     t);
+    WriteBatch batch;
+    batch.Add(Term::Iri("http://example.org/exp"),
+              Term::Iri("http://example.org/linked"), t);
+    db.dataset().default_graph().Apply(std::move(batch));
     auto r = Query(db, 
         "SELECT (ASUM(?a) AS ?s) WHERE { ?e "
         "<http://example.org/linked> ?a }");

@@ -59,8 +59,12 @@ TEST(Wal, ReplayFiltersByLsnSoRecoveryIsRepeatable) {
   auto apply_into = [](Graph* def, Graph* named) {
     return [def, named](const storage::WalRecord& rec) -> Status {
       Graph* g = rec.graph.empty() ? def : named;
-      if (rec.type == storage::WalRecord::Type::kAdd) g->Add(rec.triple);
-      if (rec.type == storage::WalRecord::Type::kRemove) g->Remove(rec.triple);
+      WriteBatch batch;
+      if (rec.type == storage::WalRecord::Type::kAdd) batch.Add(rec.triple);
+      if (rec.type == storage::WalRecord::Type::kRemove) {
+        batch.RemoveAll(rec.triple);
+      }
+      g->Apply(std::move(batch));
       return Status::OK();
     };
   };
@@ -89,8 +93,10 @@ TEST(Wal, ReplayFiltersByLsnSoRecoveryIsRepeatable) {
                                 apply_into(&c_def, &c_named));
   (void)p1;
   Graph d_def, d_named;
-  d_def.Add(Triple{I("a"), I("p"), I("b")});
-  d_def.Add(Triple{I("a"), I("p"), I("c")});  // state as of lsn 2
+  WriteBatch as_of_lsn2;
+  as_of_lsn2.Add(Triple{I("a"), I("p"), I("b")});
+  as_of_lsn2.Add(Triple{I("a"), I("p"), I("c")});
+  d_def.Apply(std::move(as_of_lsn2));
   auto p2 = *storage::ReplayWal(vfs, dir, 2, resolve,
                                 apply_into(&d_def, &d_named));
   EXPECT_GT(p2.records_skipped, 0u);
@@ -125,7 +131,9 @@ TEST(Wal, TornTailStopsCleanlyAndKeepsCommittedBatches) {
   };
   auto stats = *storage::ReplayWal(
       vfs, dir, 0, resolve, [&g](const storage::WalRecord& rec) -> Status {
-        if (rec.type == storage::WalRecord::Type::kAdd) g.Add(rec.triple);
+        WriteBatch batch;
+        if (rec.type == storage::WalRecord::Type::kAdd) batch.Add(rec.triple);
+        g.Apply(std::move(batch));
         return Status::OK();
       });
   EXPECT_TRUE(stats.torn_tail);

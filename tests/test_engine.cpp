@@ -1,9 +1,11 @@
 #include <cstdio>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "engine/ssdm.h"
 #include "storage/memory_backend.h"
+#include "storage/snapshot.h"
 #include "query_helpers.h"
 
 namespace scisparql {
@@ -105,9 +107,10 @@ TEST(Engine, SnapshotMaterializesProxies) {
     NumericArray a = NumericArray::Zeros(ElementType::kInt64, {3});
     for (int64_t i = 0; i < 3; ++i) a.SetIntAt(i, i + 7);
     Term proxy = *db.StoreArray(a, "memory");
-    db.dataset().default_graph().Add(Term::Iri("http://example.org/s"),
-                                     Term::Iri("http://example.org/d"),
-                                     proxy);
+    WriteBatch batch;
+    batch.Add(Term::Iri("http://example.org/s"),
+              Term::Iri("http://example.org/d"), proxy);
+    db.dataset().default_graph().Apply(std::move(batch));
     ASSERT_TRUE(db.SaveSnapshot(path).ok());
   }
   {
@@ -143,6 +146,46 @@ TEST(Engine, LoadSnapshotMissingFileFails) {
   SSDM db;
   EXPECT_EQ(db.LoadSnapshot("/nonexistent.ssd").code(),
             StatusCode::kIoError);
+}
+
+TEST(Engine, LoadSnapshotRejectsPlainTurtleNamingTheFormat) {
+  std::string path = std::string(::testing::TempDir()) + "/plain.ssd";
+  {
+    std::ofstream out(path);
+    out << "<http://example.org/a> <http://example.org/p> 1 .\n"
+        << "#%GRAPH http://example.org/g\n"
+        << "<http://example.org/b> <http://example.org/p> 2 .\n";
+  }
+  SSDM db;
+  ASSERT_TRUE(scisparql::Run(db, "INSERT DATA { <http://example.org/k> "
+                                 "<http://example.org/p> 0 }")
+                  .ok());
+  Status st = db.LoadSnapshot(path);
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find("not an SSNP snapshot"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(db.dataset().default_graph().size(), 1u);  // left untouched
+  std::remove(path.c_str());
+}
+
+TEST(Engine, LoadSnapshotRejectsTurtleSectionNamingTheFormat) {
+  // A checksummed SSNP envelope whose section body is Turtle: the
+  // pre-dictionary section format, which no encoder writes any more.
+  std::string path = std::string(::testing::TempDir()) + "/turtle-sec.ssnp";
+  std::vector<storage::SnapshotSection> sections = {
+      {"", "<http://example.org/a> <http://example.org/p> 1 .\n"}};
+  storage::SnapshotFooter footer;
+  footer.graphs.push_back({"", 1, 1});
+  ASSERT_TRUE(storage::WriteSnapshot(storage::DefaultVfs(), path, sections,
+                                     footer)
+                  .ok());
+  SSDM db;
+  Status st = db.LoadSnapshot(path);
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find("not a dictionary section"), std::string::npos)
+      << st.ToString();
+  EXPECT_TRUE(db.dataset().default_graph().empty());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -58,9 +58,11 @@ TEST_F(ExecutorTest, JoinOverSharedVariable) {
 }
 
 TEST_F(ExecutorTest, RepeatedVariableInPattern) {
-  db_.dataset().default_graph().Add(Term::Iri("http://example.org/self"),
-                                    Term::Iri("http://example.org/rel"),
-                                    Term::Iri("http://example.org/self"));
+  WriteBatch batch;
+  batch.Add(Term::Iri("http://example.org/self"),
+            Term::Iri("http://example.org/rel"),
+            Term::Iri("http://example.org/self"));
+  db_.dataset().default_graph().Apply(std::move(batch));
   auto r = Q("SELECT ?x WHERE { ?x ex:rel ?x }");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].iri(), "http://example.org/self");

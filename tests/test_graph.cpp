@@ -8,13 +8,29 @@ namespace {
 
 Term I(const std::string& local) { return Term::Iri("http://ex/" + local); }
 
+/// Applies a one-triple insert and returns how many copies it added.
+int64_t AddOne(Graph* g, Term s, Term p, Term o) {
+  WriteBatch b;
+  b.Add(std::move(s), std::move(p), std::move(o));
+  return g->Apply(std::move(b)).added;
+}
+
+/// Applies a one-triple RemoveAll and returns how many copies it removed.
+int64_t RemoveOne(Graph* g, Triple t) {
+  WriteBatch b;
+  b.RemoveAll(std::move(t));
+  return g->Apply(std::move(b)).removed;
+}
+
 Graph SmallGraph() {
+  WriteBatch b;
+  b.Add(I("alice"), I("knows"), I("bob"));
+  b.Add(I("alice"), I("knows"), I("carol"));
+  b.Add(I("bob"), I("knows"), I("carol"));
+  b.Add(I("alice"), I("name"), Term::String("Alice"));
+  b.Add(I("bob"), I("name"), Term::String("Bob"));
   Graph g;
-  g.Add(I("alice"), I("knows"), I("bob"));
-  g.Add(I("alice"), I("knows"), I("carol"));
-  g.Add(I("bob"), I("knows"), I("carol"));
-  g.Add(I("alice"), I("name"), Term::String("Alice"));
-  g.Add(I("bob"), I("name"), Term::String("Bob"));
+  g.Apply(std::move(b));
   return g;
 }
 
@@ -81,12 +97,12 @@ TEST(Graph, EarlyStop) {
 
 TEST(Graph, RemoveExactTriples) {
   Graph g = SmallGraph();
-  EXPECT_EQ(g.Remove(Triple{I("alice"), I("knows"), I("bob")}), 1u);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("alice"), I("knows"), I("bob")}), 1);
   EXPECT_EQ(g.size(), 4u);
   EXPECT_FALSE(g.Contains(I("alice"), I("knows"), I("bob")));
   EXPECT_TRUE(g.Contains(I("alice"), I("knows"), I("carol")));
   // Removing again is a no-op.
-  EXPECT_EQ(g.Remove(Triple{I("alice"), I("knows"), I("bob")}), 0u);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("alice"), I("knows"), I("bob")}), 0);
 }
 
 TEST(Graph, DuplicateAddIsANoOp) {
@@ -94,10 +110,10 @@ TEST(Graph, DuplicateAddIsANoOp) {
   // nothing — which is what makes a retried INSERT DATA idempotent all
   // the way through the WAL and the replication stream.
   Graph g;
-  g.Add(I("a"), I("p"), I("b"));
-  g.Add(I("a"), I("p"), I("b"));
+  EXPECT_EQ(AddOne(&g, I("a"), I("p"), I("b")), 1);
+  EXPECT_EQ(AddOne(&g, I("a"), I("p"), I("b")), 0);
   EXPECT_EQ(g.size(), 1u);
-  EXPECT_EQ(g.Remove(Triple{I("a"), I("p"), I("b")}), 1u);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("a"), I("p"), I("b")}), 1);
   EXPECT_EQ(g.size(), 0u);
   // Remove-then-re-add in one batch nets one live copy back.
   WriteBatch b;
@@ -121,13 +137,15 @@ TEST(Graph, EstimateMatches) {
 
 TEST(Graph, CompactionAfterManyRemovals) {
   Graph g;
+  WriteBatch load;
   for (int i = 0; i < 3000; ++i) {
-    g.Add(I("s" + std::to_string(i)), I("p"), Term::Integer(i));
+    load.Add(I("s" + std::to_string(i)), I("p"), Term::Integer(i));
   }
+  g.Apply(std::move(load));
   for (int i = 0; i < 2500; ++i) {
-    EXPECT_EQ(g.Remove(Triple{I("s" + std::to_string(i)), I("p"),
-                              Term::Integer(i)}),
-              1u);
+    EXPECT_EQ(RemoveOne(&g, Triple{I("s" + std::to_string(i)), I("p"),
+                                   Term::Integer(i)}),
+              1);
   }
   EXPECT_EQ(g.size(), 500u);
   // Remaining triples still findable post-compaction.
@@ -138,9 +156,46 @@ TEST(Graph, CompactionAfterManyRemovals) {
 TEST(Graph, CloneIsIndependent) {
   Graph g = SmallGraph();
   Graph copy = g.Clone();
-  copy.Add(I("x"), I("p"), I("y"));
+  AddOne(&copy, I("x"), I("p"), I("y"));
   EXPECT_EQ(g.size(), 5u);
   EXPECT_EQ(copy.size(), 6u);
+}
+
+TEST(Graph, RemoveFindsValueEqualNumericCopies) {
+  // `2` and `2.0` intern under different IDs, so the live-row index
+  // cannot pin the row: removal falls back to comparing values.
+  Graph g;
+  WriteBatch load;
+  load.Add(I("a"), I("v"), Term::Integer(2));
+  load.Add(I("b"), I("v"), Term::Double(2.0));
+  load.Add(I("c"), I("v"), Term::Integer(3));
+  g.Apply(std::move(load));
+  EXPECT_EQ(RemoveOne(&g, Triple{I("a"), I("v"), Term::Double(2.0)}), 1);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("b"), I("v"), Term::Integer(2)}), 1);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("c"), I("v"), Term::Integer(3)}), 1);
+  EXPECT_EQ(g.size(), 0u);
+}
+
+TEST(Graph, RemoveAfterCompactionAndReAdd) {
+  // Compaction renumbers rows; the live-row index must follow, and a
+  // removed-then-re-added triple must be removable again.
+  Graph g;
+  WriteBatch load;
+  for (int i = 0; i < 2100; ++i) {
+    load.Add(I("s" + std::to_string(i)), I("p"), I("o"));
+  }
+  g.Apply(std::move(load));
+  WriteBatch drop;
+  for (int i = 0; i < 2000; ++i) {
+    drop.RemoveAll(Triple{I("s" + std::to_string(i)), I("p"), I("o")});
+  }
+  EXPECT_EQ(g.Apply(std::move(drop)).removed, 2000);
+  EXPECT_EQ(AddOne(&g, I("s5"), I("p"), I("o")), 1);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("s2050"), I("p"), I("o")}), 1);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("s5"), I("p"), I("o")}), 1);
+  EXPECT_EQ(RemoveOne(&g, Triple{I("s5"), I("p"), I("o")}), 0);
+  EXPECT_EQ(g.size(), 99u);
+  EXPECT_TRUE(g.Contains(I("s2099"), I("p"), I("o")));
 }
 
 TEST(Graph, FreshBlankLabelsDistinct) {
@@ -152,7 +207,7 @@ TEST(Graph, ArrayValuedTriples) {
   Graph g;
   Term arr = Term::Array(
       ResidentArray::Make(*NumericArray::FromInts({3}, {1, 2, 3})));
-  g.Add(I("s"), I("data"), arr);
+  AddOne(&g, I("s"), I("data"), arr);
   auto ts = g.MatchAll(I("s"), I("data"), Term());
   ASSERT_EQ(ts.size(), 1u);
   EXPECT_TRUE(ts[0].o.IsArray());
@@ -164,8 +219,8 @@ TEST(Graph, ArrayValuedTriples) {
 
 TEST(Dataset, NamedGraphs) {
   Dataset ds;
-  ds.default_graph().Add(I("a"), I("p"), I("b"));
-  ds.GetOrCreateNamed("http://g1").Add(I("c"), I("p"), I("d"));
+  AddOne(&ds.default_graph(), I("a"), I("p"), I("b"));
+  AddOne(&ds.GetOrCreateNamed("http://g1"), I("c"), I("p"), I("d"));
   EXPECT_NE(ds.FindNamed("http://g1"), nullptr);
   EXPECT_EQ(ds.FindNamed("http://nope"), nullptr);
   EXPECT_EQ(ds.FindNamed("http://g1")->size(), 1u);

@@ -130,11 +130,13 @@ TEST(Dictionary, StringBytesTrackLexicalPayloads) {
 // ---------------------------------------------------------------------------
 
 TEST(IdIndexes, PermutationsAreSortedAndCoverLiveRows) {
+  WriteBatch b;
+  b.Add(I("s1"), I("p"), I("o1"));
+  b.Add(I("s2"), I("p"), I("o2"));
+  b.Add(I("s1"), I("q"), I("o2"));
+  b.Add(I("s3"), I("p"), I("o1"));
   Graph g;
-  g.Add(I("s1"), I("p"), I("o1"));
-  g.Add(I("s2"), I("p"), I("o2"));
-  g.Add(I("s1"), I("q"), I("o2"));
-  g.Add(I("s3"), I("p"), I("o1"));
+  g.Apply(std::move(b));
   const IdIndexes& idx = g.EnsureIdIndexes();
   ASSERT_EQ(idx.spo.size(), 4u);
   ASSERT_EQ(idx.pos.size(), 4u);
@@ -154,9 +156,11 @@ TEST(IdIndexes, PermutationsAreSortedAndCoverLiveRows) {
 }
 
 TEST(IdIndexes, PrefixRangeSelectsMatchingRun) {
+  WriteBatch b;
+  for (int i = 0; i < 5; ++i) b.Add(I("s" + std::to_string(i)), I("p"), I("o"));
+  b.Add(I("s0"), I("q"), I("x"));
   Graph g;
-  for (int i = 0; i < 5; ++i) g.Add(I("s" + std::to_string(i)), I("p"), I("o"));
-  g.Add(I("s0"), I("q"), I("x"));
+  g.Apply(std::move(b));
   const IdIndexes& idx = g.EnsureIdIndexes();
   uint32_t p = *g.dict().Find(I("p"));
   auto [lo, hi] = PrefixRange(idx.pos, Perm::kPos, {p, 0, 0}, 1);
@@ -168,11 +172,15 @@ TEST(IdIndexes, PrefixRangeSelectsMatchingRun) {
 }
 
 TEST(IdIndexes, RebuildAfterRemoveSkipsTombstones) {
+  WriteBatch load;
+  load.Add(I("a"), I("p"), I("b"));
+  load.Add(I("a"), I("p"), I("c"));
   Graph g;
-  g.Add(I("a"), I("p"), I("b"));
-  g.Add(I("a"), I("p"), I("c"));
+  g.Apply(std::move(load));
   EXPECT_EQ(g.EnsureIdIndexes().spo.size(), 2u);
-  g.Remove(Triple{I("a"), I("p"), I("b")});
+  WriteBatch drop;
+  drop.RemoveAll(Triple{I("a"), I("p"), I("b")});
+  g.Apply(std::move(drop));
   const IdIndexes& idx = g.EnsureIdIndexes();
   ASSERT_EQ(idx.spo.size(), 1u);
   EXPECT_EQ(idx.spo[0].o, *g.dict().Find(I("c")));
@@ -496,9 +504,12 @@ TEST(WalDictRefs, RepeatedTermsRoundTripThroughBatchRefs) {
   Graph g;
   auto stats = *storage::ReplayWal(
       vfs, dir, 0, resolve, [&g](const storage::WalRecord& rec) -> Status {
-        if (rec.type == storage::WalRecord::Type::kAdd) g.Add(rec.triple);
-        if (rec.type == storage::WalRecord::Type::kRemove)
-          g.Remove(rec.triple);
+        WriteBatch b;
+        if (rec.type == storage::WalRecord::Type::kAdd) b.Add(rec.triple);
+        if (rec.type == storage::WalRecord::Type::kRemove) {
+          b.RemoveAll(rec.triple);
+        }
+        g.Apply(std::move(b));
         return Status::OK();
       });
   EXPECT_EQ(stats.batches_applied, 2u);
@@ -523,20 +534,24 @@ TEST(WalDictRefs, RepeatedTermsRoundTripThroughBatchRefs) {
 // ---------------------------------------------------------------------------
 
 TEST(DictSection, RoundTripsTermsOnceAndSkipsTombstones) {
-  Graph g;
+  WriteBatch load;
   for (int i = 0; i < 50; ++i) {
-    g.Add(I("s" + std::to_string(i % 5)), I("p"), Term::Integer(i));
-    g.Add(I("s" + std::to_string(i % 5)), I("label"),
-          Term::String("node" + std::to_string(i % 5)));
+    load.Add(I("s" + std::to_string(i % 5)), I("p"), Term::Integer(i));
+    load.Add(I("s" + std::to_string(i % 5)), I("label"),
+             Term::String("node" + std::to_string(i % 5)));
   }
-  g.Remove(Triple{I("s0"), I("p"), Term::Integer(0)});
+  Graph g;
+  g.Apply(std::move(load));
+  WriteBatch drop;
+  drop.RemoveAll(Triple{I("s0"), I("p"), Term::Integer(0)});
+  g.Apply(std::move(drop));
 
   auto body = storage::EncodeDictSection(g);
   ASSERT_TRUE(body.ok()) << body.status().ToString();
   EXPECT_TRUE(storage::IsDictSection(*body));
 
   Graph out;
-  ASSERT_TRUE(storage::DecodeDictSection(*body, nullptr, &out).ok());
+  ASSERT_TRUE(storage::DecodeDictSection(*body, &out).ok());
   EXPECT_EQ(out.size(), g.size());
   EXPECT_FALSE(out.Contains(I("s0"), I("p"), Term::Integer(0)));
   EXPECT_TRUE(out.Contains(I("s1"), I("p"), Term::Integer(1)));
@@ -549,20 +564,22 @@ TEST(DictSection, TurtleBodiesAreNotMistakenForSections) {
   EXPECT_FALSE(storage::IsDictSection(""));
   Graph g;
   EXPECT_EQ(
-      storage::DecodeDictSection("not a section", nullptr, &g).code(),
+      storage::DecodeDictSection("not a section", &g).code(),
       StatusCode::kInternal);
 }
 
 TEST(DictSection, CorruptBodiesFailCleanly) {
+  WriteBatch b;
+  b.Add(I("a"), I("p"), I("b"));
   Graph g;
-  g.Add(I("a"), I("p"), I("b"));
+  g.Apply(std::move(b));
   std::string body = *storage::EncodeDictSection(g);
   // Truncations anywhere must error, never crash or mis-decode.
   for (size_t cut = 1; cut < body.size(); cut += 3) {
     Graph out;
     std::string torn = body.substr(0, cut);
     if (!storage::IsDictSection(torn)) continue;
-    EXPECT_FALSE(storage::DecodeDictSection(torn, nullptr, &out).ok());
+    EXPECT_FALSE(storage::DecodeDictSection(torn, &out).ok());
   }
 }
 

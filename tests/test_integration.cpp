@@ -117,9 +117,10 @@ TEST(Integration, FunctionalViewOverProxies) {
   NumericArray a = NumericArray::Zeros(ElementType::kDouble, {1000});
   for (int64_t i = 0; i < 1000; ++i) a.SetDoubleAt(i, i % 10);
   Term proxy = *db.StoreArray(a, "memory", 128);
-  db.dataset().default_graph().Add(Term::Iri("http://example.org/series"),
-                                   Term::Iri("http://example.org/data"),
-                                   proxy);
+  WriteBatch batch;
+  batch.Add(Term::Iri("http://example.org/series"),
+            Term::Iri("http://example.org/data"), proxy);
+  db.dataset().default_graph().Apply(std::move(batch));
   ASSERT_TRUE(scisparql::Run(db, 
       "DEFINE FUNCTION ex:mean(?arr) AS SELECT (AAVG(?arr) AS ?m) WHERE { }")
                   .ok());

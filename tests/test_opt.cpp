@@ -141,21 +141,25 @@ TEST(GraphStats, IncrementalMatchesRebuildUnderInterleavedMutations) {
         // Occasionally insert an exact duplicate — a no-op, the graph
         // is a set. The shadow mirrors that by staying duplicate-free.
         if (roll == 0 && !live.empty()) t = live[rng() % live.size()];
-        g.Add(t);
+        WriteBatch b;
+        b.Add(t);
+        g.Apply(std::move(b));
         if (std::find(live.begin(), live.end(), t) == live.end()) {
           live.push_back(t);
         }
       } else if (roll < 9) {
         size_t idx = rng() % live.size();
         Triple t = live[idx];
-        size_t removed = g.Remove(t);
-        ASSERT_GE(removed, 1u);
-        // Remove() drops *all* equal triples; mirror that in the shadow.
+        WriteBatch b;
+        b.RemoveAll(t);
+        ASSERT_GE(g.Apply(std::move(b)).removed, 1);
+        // RemoveAll drops *all* equal triples; mirror that in the shadow.
         live.erase(std::remove(live.begin(), live.end(), t), live.end());
-        (void)removed;
       } else {
         // No-op delete of a triple that is not in the graph.
-        g.Remove(Triple{subject(999), preds[0], object(998)});
+        WriteBatch b;
+        b.RemoveAll(Triple{subject(999), preds[0], object(998)});
+        g.Apply(std::move(b));
       }
     }
     ASSERT_EQ(static_cast<size_t>(stats.total_triples()), live.size());
@@ -175,7 +179,9 @@ TEST(GraphStats, SurvivesGraphDestruction) {
   opt::GraphStats stats;
   {
     Graph g;
-    g.Add(Iri("s"), Iri("p"), Term::Integer(1));
+    WriteBatch b;
+    b.Add(Iri("s"), Iri("p"), Term::Integer(1));
+    g.Apply(std::move(b));
     stats.Attach(&g);
     EXPECT_EQ(stats.total_triples(), 1);
   }
@@ -189,12 +195,14 @@ TEST(GraphStats, SurvivesGraphDestruction) {
 /// read queries may hit an unbuilt/stale cache simultaneously. Run under
 /// TSan this fails without the internal rebuild mutex.
 TEST(GraphStats, ConcurrentHistogramReadsAreRaceFree) {
-  Graph g;
+  WriteBatch b;
   for (int i = 0; i < 400; ++i) {
     Term s = Iri("s" + std::to_string(i % 40));
-    g.Add(s, Iri("score"), Term::Integer(i % 97));
-    g.Add(s, Iri("label"), Iri("o" + std::to_string(i % 13)));
+    b.Add(s, Iri("score"), Term::Integer(i % 97));
+    b.Add(s, Iri("label"), Iri("o" + std::to_string(i % 13)));
   }
+  Graph g;
+  g.Apply(std::move(b));
   opt::GraphStats stats;
   stats.Attach(&g);
   for (int round = 0; round < 3; ++round) {
@@ -228,7 +236,9 @@ TEST(GraphStats, ConcurrentHistogramReadsAreRaceFree) {
 TEST(StatsRegistry, AttachPrunesOrphanedCollectors) {
   opt::StatsRegistry reg;
   auto doomed = std::make_unique<Graph>();
-  doomed->Add(Iri("s"), Iri("p"), Term::Integer(1));
+  WriteBatch b;
+  b.Add(Iri("s"), Iri("p"), Term::Integer(1));
+  doomed->Apply(std::move(b));
   reg.Attach(doomed.get());
   // The registry keys by address; the lookups below use the freed address
   // purely as a map key and never dereference it.
@@ -265,13 +275,15 @@ opt::PatternDesc Pat(const std::string& s_var, const Term& p,
 }
 
 TEST(Planner, StarQueryLeadsWithRarePredicate) {
-  Graph g;
+  WriteBatch b;
   for (int i = 0; i < 200; ++i) {
     Term s = Iri("s" + std::to_string(i));
-    g.Add(s, Iri("wide"), Term::Integer(i));
-    g.Add(s, Iri("wide"), Term::Integer(i + 1000));
-    if (i < 3) g.Add(s, Iri("rare"), Term::Integer(i));
+    b.Add(s, Iri("wide"), Term::Integer(i));
+    b.Add(s, Iri("wide"), Term::Integer(i + 1000));
+    if (i < 3) b.Add(s, Iri("rare"), Term::Integer(i));
   }
+  Graph g;
+  g.Apply(std::move(b));
   opt::GraphStats stats;
   stats.Attach(&g);
   opt::CardinalityEstimator est(&g, &stats);
@@ -290,10 +302,12 @@ TEST(Planner, StarQueryLeadsWithRarePredicate) {
 }
 
 TEST(Planner, FilterHintTightensEstimate) {
-  Graph g;
+  WriteBatch b;
   for (int i = 0; i < 100; ++i) {
-    g.Add(Iri("s" + std::to_string(i)), Iri("score"), Term::Integer(i));
+    b.Add(Iri("s" + std::to_string(i)), Iri("score"), Term::Integer(i));
   }
+  Graph g;
+  g.Apply(std::move(b));
   opt::GraphStats stats;
   stats.Attach(&g);
   opt::CardinalityEstimator est(&g, &stats);
@@ -311,14 +325,15 @@ class OptEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     db_.prefixes().Set("ex", "http://example.org/");
-    Graph& g = db_.dataset().default_graph();
+    WriteBatch b;
     for (int i = 0; i < 120; ++i) {
       Term s = Iri("s" + std::to_string(i));
-      g.Add(s, Iri("wide"), Term::Integer(i));
-      g.Add(s, Iri("wide"), Term::Integer(i + 500));
-      if (i % 10 == 0) g.Add(s, Iri("mid"), Term::Integer(i));
-      if (i % 40 == 0) g.Add(s, Iri("rare"), Term::Integer(i));
+      b.Add(s, Iri("wide"), Term::Integer(i));
+      b.Add(s, Iri("wide"), Term::Integer(i + 500));
+      if (i % 10 == 0) b.Add(s, Iri("mid"), Term::Integer(i));
+      if (i % 40 == 0) b.Add(s, Iri("rare"), Term::Integer(i));
     }
+    db_.dataset().default_graph().Apply(std::move(b));
   }
 
   std::vector<std::string> SortedRows(const sparql::QueryResult& r) {

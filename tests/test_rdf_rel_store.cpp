@@ -62,8 +62,10 @@ TEST_F(RdfRelStoreTest, ArraysLoadAsLazyProxies) {
   Graph g;
   NumericArray a = NumericArray::Zeros(ElementType::kDouble, {100});
   for (int64_t i = 0; i < 100; ++i) a.SetDoubleAt(i, i);
-  g.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/data"),
-        Term::Array(ResidentArray::Make(a)));
+  WriteBatch batch;
+  batch.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/data"),
+            Term::Array(ResidentArray::Make(a)));
+  g.Apply(std::move(batch));
   ASSERT_TRUE(store_->SaveGraph(g).ok());
 
   Graph loaded;
@@ -86,8 +88,10 @@ TEST_F(RdfRelStoreTest, ProxySavedByReferenceNotCopied) {
   ArrayId id = *arrays_->Store(a, 16);
   auto proxy = *ArrayProxy::Open(arrays_, id);
   Graph g;
-  g.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/p"),
-        Term::Array(proxy));
+  WriteBatch batch;
+  batch.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/p"),
+            Term::Array(proxy));
+  g.Apply(std::move(batch));
   ASSERT_TRUE(store_->SaveGraph(g).ok());
   Graph loaded;
   ASSERT_TRUE(store_->LoadGraph(&loaded).ok());
@@ -127,11 +131,13 @@ TEST_F(RdfRelStoreTest, PersistsAcrossDatabaseReopen) {
         std::move(*RelationalArrayStorage::Attach(db.get())));
     auto store = *RdfRelationalStore::Attach(db.get(), arrays);
     Graph g;
-    g.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/p"),
-          Term::Array(ResidentArray::Make(*NumericArray::FromInts(
-              {3}, {7, 8, 9}))));
-    g.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/name"),
-          Term::String("persisted"));
+    WriteBatch batch;
+    batch.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/p"),
+              Term::Array(ResidentArray::Make(*NumericArray::FromInts(
+                  {3}, {7, 8, 9}))));
+    batch.Add(Term::Iri("http://ex/s"), Term::Iri("http://ex/name"),
+              Term::String("persisted"));
+    g.Apply(std::move(batch));
     ASSERT_TRUE(store->SaveGraph(g).ok());
     ASSERT_TRUE(db->Flush().ok());
   }

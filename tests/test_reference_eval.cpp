@@ -34,11 +34,13 @@ RandomCase MakeCase(uint64_t seed) {
   const int nodes = 8;
   const int preds = 3;
   const int triples = 25;
+  WriteBatch batch;
   for (int i = 0; i < triples; ++i) {
-    rc.graph.Add(Node(rng() % nodes), Pred(rng() % preds),
-                 rng() % 3 == 0 ? Term::Integer(static_cast<int64_t>(rng() % 4))
-                                : Node(rng() % nodes));
+    batch.Add(Node(rng() % nodes), Pred(rng() % preds),
+              rng() % 3 == 0 ? Term::Integer(static_cast<int64_t>(rng() % 4))
+                             : Node(rng() % nodes));
   }
+  rc.graph.Apply(std::move(batch));
   // 2-4 patterns over a small shared variable pool (join-heavy).
   int npatterns = 2 + rng() % 3;
   std::set<std::string> seen;
@@ -136,9 +138,9 @@ TEST_P(ReferenceSweep, ExecutorMatchesBruteForce) {
   std::set<std::vector<std::string>> expected = Reference(rc);
 
   SSDM db;
-  rc.graph.ForEach([&db](const Triple& t) {
-    db.dataset().default_graph().Add(t);
-  });
+  WriteBatch copy;
+  rc.graph.ForEach([&copy](const Triple& t) { copy.Add(t); });
+  db.dataset().default_graph().Apply(std::move(copy));
   std::string query = ToQuery(rc);
 
   for (bool optimize : {true, false}) {

@@ -3,16 +3,22 @@
 // by ReplicaApplier, and client routing through ReplicaRouter.
 // Covers: continuous apply + convergence, replica LSN reporting, write
 // rejection, result-cache invalidation on apply, snapshot bootstrap after
-// WAL truncation, durable-replica restart catch-up from its own store,
+// WAL truncation, snapshot/LSN consistency under concurrent writers,
+// bootstrap fidelity, durable-replica restart catch-up from its own store,
 // and the router's read-your-writes / fallback behavior.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "client/server.h"
@@ -226,6 +232,168 @@ TEST(Replication, LateJoinerBootstrapsFromSnapshotAfterTruncation) {
   auto ask = r1.engine.Execute(std::string(kPrefix) + "ASK { ex:z ex:p 99 }");
   ASSERT_TRUE(ask.ok());
   EXPECT_TRUE(ask->ask());
+}
+
+/// Every triple of every graph, rendered, sorted — equal iff the datasets
+/// hold the same terms (kinds and lexical forms included).
+std::vector<std::string> DumpDataset(const Dataset& ds) {
+  std::vector<std::string> out;
+  auto dump = [&out](const std::string& iri, const Graph& g) {
+    g.ForEach(
+        [&](const Triple& t) { out.push_back(iri + " " + t.ToString()); });
+  };
+  dump("", ds.default_graph());
+  for (const auto& [iri, g] : ds.named_graphs()) dump(iri, g);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Replication, SnapshotLsnCoversExactlyItsContent) {
+  // Writers commit unique triples through the scheduler while REPL
+  // SNAPSHOT runs in a loop. A replica resumes the stream strictly after
+  // the snapshot's LSN, so every acknowledged write at or below that LSN
+  // must already be in the snapshot, or the replica never receives it.
+  SSDM engine;
+  ASSERT_TRUE(engine.Open(FreshDir("repl_snap_lsn")).ok());
+  // Bulk so that encoding a snapshot takes a while.
+  std::string ttl = "@prefix ex: <http://example.org/> .\n";
+  for (int i = 0; i < 10000; ++i) {
+    ttl += "ex:bulk" + std::to_string(i) + " ex:q " + std::to_string(i) +
+           " .\n";
+  }
+  ASSERT_TRUE(engine.LoadTurtleString(ttl).ok());
+  sched::QueryScheduler scheduler(&engine);
+
+  std::atomic<bool> stop{false};
+  std::mutex acked_mu;
+  std::vector<std::pair<uint64_t, std::string>> acked;  // (lsn, subject)
+  std::atomic<int> write_errors{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&, w]() {
+      for (int i = 0; !stop.load(); ++i) {
+        std::string subject = "http://example.org/w" + std::to_string(w) +
+                              "_" + std::to_string(i) + "/";
+        auto out = scheduler.Execute(QueryRequest(
+            "INSERT DATA { <" + subject + "> <http://example.org/p> " +
+            std::to_string(i) + " }"));
+        if (!out.ok() || out->kind() != QueryOutcome::Kind::kUpdateCount) {
+          ++write_errors;
+          continue;
+        }
+        uint64_t lsn = std::get<QueryOutcome::UpdateCount>(out->value).lsn;
+        std::lock_guard<std::mutex> lock(acked_mu);
+        acked.emplace_back(lsn, subject);
+      }
+    });
+  }
+  std::vector<std::string> bodies;
+  for (int n = 0; n < 200; ++n) {
+    auto out = scheduler.Execute(QueryRequest("REPL SNAPSHOT"));
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    bodies.push_back(out->info());
+  }
+  stop.store(true);
+  for (std::thread& t : writers) t.join();
+  scheduler.Stop();
+  EXPECT_EQ(write_errors.load(), 0);
+  std::sort(acked.begin(), acked.end());
+  ASSERT_FALSE(acked.empty());
+
+  int inconsistent = 0;
+  size_t missing = 0;
+  const std::string marker = "http://example.org/w";
+  for (const std::string& body : bodies) {
+    repl::ReplSnapshotReply snap;
+    ASSERT_TRUE(
+        repl::DecodeSnapshotBody(body, &snap.sections, &snap.lsn, &snap.term)
+            .ok());
+    // The writers' subject IRIs appear verbatim in any section encoding,
+    // and each ends in '/', so none is a prefix of another: one scan per
+    // snapshot finds every subject it holds.
+    std::set<std::string> subjects;
+    for (const auto& sec : snap.sections) {
+      for (size_t at = sec.body.find(marker); at != std::string::npos;
+           at = sec.body.find(marker, at + 1)) {
+        size_t end = sec.body.find('/', at + marker.size());
+        if (end != std::string::npos) {
+          subjects.insert(sec.body.substr(at, end + 1 - at));
+        }
+      }
+    }
+    size_t lacking = 0;
+    for (const auto& [lsn, subject] : acked) {
+      if (lsn > snap.lsn) break;
+      if (subjects.count(subject) == 0) ++lacking;
+    }
+    if (lacking > 0) ++inconsistent;
+    missing += lacking;
+  }
+  EXPECT_EQ(inconsistent, 0) << missing << " acknowledged writes at or below "
+                             << "a snapshot's LSN were missing from it";
+}
+
+TEST(Replication, BootstrapReproducesPrimaryExactly) {
+  Node primary;
+  ASSERT_TRUE(primary.engine.Open(FreshDir("repl_fidelity_p")).ok());
+  Graph& def = primary.engine.dataset().default_graph();
+  const std::string ex = "http://example.org/";
+  auto iri = [&ex](const std::string& local) { return Term::Iri(ex + local); };
+  WriteBatch b;
+  b.Add(iri("int"), iri("v"), Term::Integer(2));
+  b.Add(iri("dbl"), iri("v"), Term::Double(2.0));
+  b.Add(iri("ints"), iri("data"),
+        Term::Array(ResidentArray::Make(
+            *NumericArray::FromInts({2, 3}, {1, 2, 3, 4, 5, 6}))));
+  b.Add(iri("dbls"), iri("data"),
+        Term::Array(ResidentArray::Make(
+            *NumericArray::FromDoubles({3}, {0.5, 1.5, 2.5}))));
+  b.Add(Term::Blank("b1"), iri("label"), Term::LangString("chat", "fr"));
+  b.Add(iri("x"), iri("knows"), Term::Blank("b1"));
+  b.Add(iri("x"), iri("date"),
+        Term::TypedLiteral("2020-01-01",
+                           "http://www.w3.org/2001/XMLSchema#date"));
+  b.Add(iri("x"), iri("flag"), Term::Boolean(true));
+  b.Add(iri("x"), iri("name"), Term::String("plain \"quoted\""));
+  def.Apply(std::move(b));
+  WriteBatch named;
+  named.Add(iri("g1s"), iri("v"), Term::Integer(2));
+  named.Add(iri("g1s"), iri("w"), Term::Double(2.0));
+  named.Add(Term::Blank("b2"), iri("arr"),
+            Term::Array(ResidentArray::Make(
+                *NumericArray::FromDoubles({2}, {7.25, -1}))));
+  primary.engine.dataset().GetOrCreateNamed(ex + "g1").Apply(std::move(named));
+  WriteBatch other;
+  other.Add(iri("g2s"), iri("v"), Term::LangString("hello", "en"));
+  primary.engine.dataset().GetOrCreateNamed(ex + "g2").Apply(std::move(other));
+  ASSERT_TRUE(primary.StartPrimary("").ok());  // already durable
+  // One logged write, so the snapshot carries a real LSN.
+  ASSERT_TRUE(scisparql::Run(primary.engine, std::string(kPrefix) +
+                                                 "INSERT DATA { ex:y ex:v 3 }")
+                  .ok());
+
+  auto session = *client::RemoteSession::Connect("127.0.0.1", primary.port);
+  auto snap = repl::FetchSnapshot(&session);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->lsn, primary.engine.last_lsn());
+
+  SSDM replica;
+  ASSERT_TRUE(replica.BootstrapFromReplication(snap->sections, snap->lsn).ok());
+  EXPECT_EQ(replica.last_lsn(), snap->lsn);
+  std::vector<std::string> want = DumpDataset(primary.engine.dataset());
+  std::vector<std::string> got = DumpDataset(replica.dataset());
+  EXPECT_EQ(want.size(), 14u);
+  EXPECT_EQ(got, want);
+  // `2` and `2.0` keep their kinds: value-equal, but distinct terms.
+  auto kind_of = [&replica, &iri](const std::string& s) {
+    return replica.dataset()
+        .default_graph()
+        .MatchAll(iri(s), iri("v"), Term())
+        .at(0)
+        .o.kind();
+  };
+  EXPECT_EQ(kind_of("int"), Term::Kind::kInteger);
+  EXPECT_EQ(kind_of("dbl"), Term::Kind::kDouble);
 }
 
 TEST(Replication, DurableReplicaRestartsAndCatchesUpFromItsOwnStore) {

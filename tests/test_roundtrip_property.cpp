@@ -51,21 +51,23 @@ class TurtleRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TurtleRoundTrip, QueriesAgreeAfterRewrite) {
   Rng rng(GetParam());
-  Graph g;
+  WriteBatch batch;
   for (int i = 0; i < 60; ++i) {
     Term s = Term::Iri("http://n/" + std::to_string(rng.Next(10)));
     Term p = Term::Iri("http://p/" + std::to_string(rng.Next(4)));
     Term o = rng.Next(3) == 0
                  ? Term::Iri("http://n/" + std::to_string(rng.Next(10)))
                  : RandomLiteral(rng);
-    g.Add(std::move(s), std::move(p), std::move(o));
+    batch.Add(std::move(s), std::move(p), std::move(o));
   }
   // Plus one array triple.
   int64_t n = 1 + static_cast<int64_t>(rng.Next(6));
   NumericArray arr = NumericArray::Zeros(ElementType::kDouble, {n});
   for (int64_t i = 0; i < n; ++i) arr.SetDoubleAt(i, rng.NextDouble());
-  g.Add(Term::Iri("http://n/arr"), Term::Iri("http://p/data"),
-        Term::Array(ResidentArray::Make(arr)));
+  batch.Add(Term::Iri("http://n/arr"), Term::Iri("http://p/data"),
+            Term::Array(ResidentArray::Make(arr)));
+  Graph g;
+  g.Apply(std::move(batch));
 
   PrefixMap prefixes = PrefixMap::WithDefaults();
   std::string ttl = loaders::WriteTurtle(g, prefixes);

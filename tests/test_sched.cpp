@@ -77,6 +77,12 @@ TEST_F(SchedTest, ClassifyStatement) {
             SC::kExclusive);
   EXPECT_EQ(SSDM::ClassifyStatement("CLEAR ALL"), SC::kExclusive);
   EXPECT_EQ(SSDM::ClassifyStatement("CHECKPOINT"), SC::kExclusive);
+  // REPL SNAPSHOT folds deltas and reads the LSN like CHECKPOINT; the
+  // other REPL verbs are introspection.
+  EXPECT_EQ(SSDM::ClassifyStatement("REPL SNAPSHOT"), SC::kExclusive);
+  EXPECT_EQ(SSDM::ClassifyStatement(" repl  snapshot"), SC::kExclusive);
+  EXPECT_EQ(SSDM::ClassifyStatement("REPL LSN"), SC::kRead);
+  EXPECT_EQ(SSDM::ClassifyStatement("REPL STATUS"), SC::kRead);
   EXPECT_EQ(SSDM::ClassifyStatement(
                 "WITH <http://g> DELETE { ?s ?p ?o } WHERE { ?s ?p ?o }"),
             SC::kWrite);

@@ -238,8 +238,19 @@ TEST_F(ServerTest, StatsVerb) {
 
 TEST_F(ServerTest, StatsVerbNormalizesWhitespaceAndCase) {
   // The engine recognizes the STATS verb trimmed and case-insensitively;
-  // the server's response tagging must agree, or " stats " would come
-  // back as a plain 'I' info reply without the scheduler counters.
+  // the server's scheduler line must follow the same rule, or " stats "
+  // would come back without the scheduler counters.
+  auto session = *RemoteSession::Connect("127.0.0.1", port_);
+  auto out = session.Execute(QueryRequest("  stats \n"));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->kind(), QueryOutcome::Kind::kInfo);
+  EXPECT_EQ(out->info().rfind("scheduler:", 0), 0u) << out->info();
+  EXPECT_NE(out->info().find("admitted="), std::string::npos) << out->info();
+}
+
+TEST_F(ServerTest, UnmarkedFrameIsRejectedAndServerKeepsServing) {
+  // The server speaks one request form: a frame without the structured
+  // (0x01) or replication (0x02) marker gets an InvalidArgument error.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -258,18 +269,29 @@ TEST_F(ServerTest, StatsVerbNormalizesWhitespaceAndCase) {
     }
     return true;
   };
-  std::string framed = Frame("  stats \n");
-  ASSERT_EQ(::send(fd, framed.data(), framed.size(), 0),
-            static_cast<ssize_t>(framed.size()));
-  uint32_t len = 0;
-  ASSERT_TRUE(read_exact(&len, 4));
-  std::string payload(len, '\0');
-  ASSERT_TRUE(read_exact(payload.data(), len));
+  for (const std::string& request :
+       {std::string("  stats \n"), std::string("SELECT * WHERE { ?s ?p ?o }"),
+        std::string()}) {
+    std::string framed = Frame(request);
+    ASSERT_EQ(::send(fd, framed.data(), framed.size(), 0),
+              static_cast<ssize_t>(framed.size()));
+    uint32_t len = 0;
+    ASSERT_TRUE(read_exact(&len, 4));
+    std::string payload(len, '\0');
+    ASSERT_TRUE(read_exact(payload.data(), len));
+    ASSERT_GE(payload.size(), 2u);
+    EXPECT_EQ(payload[0], 'E') << payload;
+    EXPECT_EQ(static_cast<StatusCode>(payload[1]),
+              StatusCode::kInvalidArgument)
+        << payload;
+  }
   ::close(fd);
-  ASSERT_FALSE(payload.empty());
-  EXPECT_EQ(payload[0], 'S') << payload;
-  EXPECT_NE(payload.find("scheduler:"), std::string::npos) << payload;
-  EXPECT_NE(payload.find("admitted="), std::string::npos) << payload;
+  // The server survived and still answers structured requests.
+  auto session = *RemoteSession::Connect("127.0.0.1", port_);
+  auto rows = session.Query(
+      "PREFIX ex: <http://example.org/> SELECT ?v WHERE { ?s ex:score ?v }");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_FALSE(rows->rows.empty());
 }
 
 TEST_F(ServerTest, RemoteDeadlineExceeded) {

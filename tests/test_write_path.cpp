@@ -52,7 +52,9 @@ std::multiset<std::string> Snapshot(const Graph& g, uint64_t epoch) {
 
 TEST(WritePath, SnapshotEpochFreezesReadsWhileLaterBatchesCommit) {
   Graph g;
-  g.Add(I("a"), I("p"), Term::Integer(1));
+  WriteBatch seed;
+  seed.Add(I("a"), I("p"), Term::Integer(1));
+  g.Apply(std::move(seed));
   g.SetConcurrentWrites(true);
 
   uint64_t epoch = g.SnapshotEpoch();
@@ -77,7 +79,9 @@ TEST(WritePath, ReadersNeverObserveAPartialBatch) {
   // batch prefix.
   Graph g;
   g.SetConcurrentWrites(true);
-  g.Add(I("m0"), I("marker"), Term::Integer(0));
+  WriteBatch seed;
+  seed.Add(I("m0"), I("marker"), Term::Integer(0));
+  g.Apply(std::move(seed));
 
   std::atomic<bool> stop{false};
   std::atomic<int> torn{0};
@@ -111,7 +115,9 @@ TEST(WritePath, ReadersNeverObserveAPartialBatch) {
 
 TEST(WritePath, DeleteThenInsertInOneBatchNetsOneCopy) {
   Graph g;
-  g.Add(I("s"), I("p"), Term::Integer(7));
+  WriteBatch seed;
+  seed.Add(I("s"), I("p"), Term::Integer(7));
+  g.Apply(std::move(seed));
   g.SetConcurrentWrites(true);
 
   // The DELETE/INSERT WHERE compilation shape: remove the copy, re-add it.
@@ -139,10 +145,12 @@ TEST(WritePath, MatchAgreesWithReferenceScanAcrossDeltaStates) {
   // Drive one graph through base-only, delta-pending, and folded states
   // and compare every pattern shape against a naive reference scan.
   Graph g;
+  WriteBatch seed;
   for (int i = 0; i < 8; ++i) {
-    g.Add(I("s" + std::to_string(i % 3)), I("p" + std::to_string(i % 2)),
-          Term::Integer(i));
+    seed.Add(I("s" + std::to_string(i % 3)), I("p" + std::to_string(i % 2)),
+             Term::Integer(i));
   }
+  g.Apply(std::move(seed));
   g.SetConcurrentWrites(true);
   WriteBatch b;
   b.RemoveAll(Triple{I("s0"), I("p0"), Term::Integer(0)});
